@@ -443,11 +443,13 @@ class AnalyticBackend(PerformanceBackend):
         Each task's trajectory is independent and bit-identical to
         :meth:`solve` on the same task.
 
-        Every size runs through :func:`solve_mva_batch`: its python
-        finisher takes over once at most two rows remain active, so even
-        one- and two-task sets beat the scalar solver (the array kernel's
-        per-iteration overhead used to lose below ≈3 rows).  Identical
-        results either way — the engines are bit-identical by contract.
+        Every size runs through :func:`solve_mva_batch`: a group of a
+        few rows (per method and station count; ``_ROW_KERNEL_MAX`` in
+        :mod:`repro.model.mva`) runs its scalar-python row kernel, and a
+        larger Schweitzer group hands its last few active rows to the
+        same row loop, so one-task sets pay no per-call array overhead.
+        Identical results either way — the kernels are bit-identical by
+        contract.
 
         ``outer_budget`` caps the outer rounds *without* compromising
         results: a task whose fixed point converges within the budget

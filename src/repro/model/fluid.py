@@ -20,11 +20,14 @@ of ``N`` — and as ``N → ∞`` the solution lands exactly on the
 asymptotic bottleneck regime ``X → 1/max D_i`` with all excess
 population queued at the bottleneck.
 
-The batch kernel (:func:`_solve_fluid_group`) bisects every row of a
-group simultaneously with per-row freezing, performing the same
-floating-point operations as the scalar path; the scalar entry point
-delegates to a batch of one, so scalar and batched solves are
-bit-identical by construction.
+Two kernels run the bisection.  The vectorized one
+(:func:`_solve_fluid_group`) bisects every row of a group at once with
+per-row freezing; the row kernel (:func:`_solve_fluid_rows`) bisects one
+row at a time in scalar python, and serves the scalar entry point and
+small groups of :func:`repro.model.mva.solve_mva_batch`.  Both perform
+the same binary64 operations in the same order, row sums included, so
+their results are bit-identical; ``tests/test_model_fluid.py`` checks
+that on randomized rows.
 
 References: Chen & Yao, *Fundamentals of Queueing Networks* (fluid
 limits); Reiser & Lavenberg (the exact recursion this approximates).
@@ -32,11 +35,18 @@ limits); Reiser & Lavenberg (the exact recursion this approximates).
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
 
-from repro.model.mva import MvaNetwork, MvaResult, Station
+from repro.model.mva import (
+    MvaNetwork,
+    MvaResult,
+    Station,
+    _add_reduce,
+    _row_inputs,
+)
 
 __all__ = ["solve_mva_fluid", "FLUID_TOL", "FLUID_MAX_ITER"]
 
@@ -163,6 +173,83 @@ def _solve_fluid_group(networks: Sequence[MvaNetwork]) -> list[MvaResult]:
     return results
 
 
+def _solve_fluid_rows(networks: Sequence[MvaNetwork]) -> list[MvaResult]:
+    """Fluid row kernel: bisect each network alone in scalar python.
+
+    Runs the binary64 operations of :func:`_solve_fluid_group` for one
+    row in the same order (the row sum through
+    :func:`repro.model.mva._add_reduce`), so every field is bit-identical
+    to the vectorized kernel.  Only the branch ``np.where`` keeps is
+    computed, and a pure-delay row with no delay gets the ``inf``
+    throughput numpy's division gives it.
+    """
+    rho_max = 1.0 - _RHO_GUARD
+    results = []
+    for net in networks:
+        stations = net.stations
+        demand, servers, mult, qd, s_delay = _row_inputs(stations)
+        N = float(net.population)
+        extra = net.extra_delay
+        z = (net.think_time + extra) + _add_reduce(
+            [d * m for d, m in zip(s_delay, mult)]
+        )
+        d_max = max(qd)
+        if d_max > 0.0:
+            lo, hi = 0.0, rho_max / d_max
+            iters = FLUID_MAX_ITER
+            for it in range(1, FLUID_MAX_ITER + 1):
+                mid = 0.5 * (lo + hi)
+                # pop(mid) = mid·z + Σ_i m_i · ρ_i/(1-ρ_i)
+                pop = mid * z + _add_reduce(
+                    [(r := d * mid) / (1.0 - r) * m for d, m in zip(qd, mult)]
+                )
+                if pop >= N:
+                    hi = mid
+                else:
+                    lo = mid
+                if not (hi - lo) > FLUID_TOL * max(hi, 1e-12):
+                    iters = it
+                    break
+            x = 0.5 * (lo + hi)
+        else:
+            iters = 0
+            x = N / z if z > 0.0 else math.inf
+        residence = []
+        queue = []
+        for d, sd in zip(qd, s_delay):
+            if d > 0.0:
+                # np.clip's upper bound; its lower bound 0.0 cannot bind
+                # here, since x >= 0 and d > 0.
+                rho = x * d
+                if rho > rho_max:
+                    rho = rho_max
+                residence.append(d / (1.0 - rho) + sd)
+                queue.append(rho / (1.0 - rho) + x * sd)
+            else:
+                residence.append(sd)
+                queue.append(0.0 + x * sd)
+        names = [s.name for s in stations]
+        utilization = [(x * d) / m for d, m in zip(demand, servers)]
+        results.append(
+            MvaResult(
+                throughput=x,
+                response_time=_add_reduce(
+                    [r * m for r, m in zip(residence, mult)]
+                ) + extra,
+                residence=dict(zip(names, residence)),
+                queue=dict(zip(names, queue)),
+                # ``1.0 if u > 1.0 else u`` is np.minimum(u, 1.0), NaN too.
+                utilization={
+                    name: 1.0 if u > 1.0 else u
+                    for name, u in zip(names, utilization)
+                },
+                iterations=iters,
+                converged=True,
+            )
+        )
+    return results
+
+
 def solve_mva_fluid(
     stations: Sequence[Station],
     population: int,
@@ -190,4 +277,4 @@ def solve_mva_fluid(
     net = MvaNetwork(
         tuple(stations), population, think_time, extra_delay, method="fluid"
     )
-    return _solve_fluid_group([net])[0]
+    return _solve_fluid_rows([net])[0]

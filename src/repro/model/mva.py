@@ -11,10 +11,12 @@ of 23-parameter tuning iterations in milliseconds.
 
 :func:`solve_mva_batch` solves B independent networks in one vectorized
 fixed point (stations stacked on a batch axis, per-row convergence
-masking).  Each row performs exactly the floating-point operations of the
-scalar solver, so batched and scalar results are bit-identical — callers
-that evaluate many configurations against one scenario can batch freely
-without perturbing results.
+masking); groups of a few rows run a scalar-python row kernel instead,
+which is faster there.  Each row performs exactly the floating-point
+operations of the scalar solver, row sums in numpy's order included, so
+batched and scalar results are bit-identical — callers that evaluate many
+configurations against one scenario can batch freely without perturbing
+results.
 
 References: Reiser & Lavenberg (exact MVA); Schweitzer 1979; Seidmann,
 Schweitzer & Shalev-Oren 1987.
@@ -22,6 +24,7 @@ Schweitzer & Shalev-Oren 1987.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -222,86 +225,204 @@ class MvaNetwork:
             )
 
 
-#: Active-row count at or below which the vectorized loop hands the rest
-#: of the solve to the per-row python finisher.  A fixed-point iteration
-#: on one or two rows of a dozen stations is dominated by per-call array
-#: overhead, not arithmetic — the straggler tail of a large batch (the
-#: last rows to converge) otherwise costs more per row than the bulk.
-_PYTHON_TAIL_MAX = 2
+#: Groups of at most this many rows run the scalar-python row kernel
+#: (:func:`_solve_rows`, :func:`repro.model.fluid._solve_fluid_rows`);
+#: larger groups run the vectorized kernel, whose Schweitzer loop also
+#: hands its last active rows to the row loop.  On a few rows of a dozen
+#: stations the array kernel's cost is per-call overhead on tiny arrays,
+#: not arithmetic.  Measured on 12-station rows recorded from the tuning
+#: workloads (2-vCPU x86-64 host, CPython 3.11, numpy 2.4; row-kernel
+#: time over vectorized time, median of 40 groups per size): Schweitzer
+#: 0.46 / 0.82 / 1.00 / 1.15 / 1.32 at 2 / 4 / 5 / 6 / 7 rows, fluid
+#: 0.32 / 0.59 / 0.84 / 0.93 / 1.12 at 2 / 4 / 6 / 7 / 8 rows.  The
+#: cutoff sits between the two break-even sizes, 5 and 7.
+_ROW_KERNEL_MAX = 6
+
+#: Length above which numpy's pairwise summation splits in two.
+_PW_BLOCKSIZE = 128
 
 
-def _finish_rows_python(
-    idx: np.ndarray,
-    w_qd: np.ndarray,
-    w_N: np.ndarray,
-    w_z: np.ndarray,
-    w_x: np.ndarray,
-    w_queue: np.ndarray,
-    w_mult: np.ndarray | None,
-    guard_div: bool,
+def _add_reduce(values: Sequence[float]) -> float:
+    """``np.add.reduce`` of a float64 sequence, bit for bit.
+
+    numpy sums float64 arrays pairwise, and a row kernel must associate
+    its additions the same way to stay bit-identical with the vectorized
+    kernels: below 8 elements left to right; up to ``_PW_BLOCKSIZE``
+    elements in eight strided accumulators combined as a tree, then the
+    remainder in order; above that, split at half the length rounded
+    down to a multiple of 8, and recurse.  The reduction starts from the
+    identity ``0.0``, which turns a ``-0.0`` total into ``0.0``.  The
+    builtin ``sum`` is no substitute: since Python 3.12 it compensates
+    its rounding errors.
+    """
+    n = len(values)
+    if n < 8:
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+    if n > _PW_BLOCKSIZE:
+        half = n // 2
+        half -= half % 8
+        return _add_reduce(values[:half]) + _add_reduce(values[half:])
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        r0 += values[i]
+        r1 += values[i + 1]
+        r2 += values[i + 2]
+        r3 += values[i + 3]
+        r4 += values[i + 4]
+        r5 += values[i + 5]
+        r6 += values[i + 6]
+        r7 += values[i + 7]
+    total = 0.0 + (((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    for v in values[end:]:
+        total += v
+    return total
+
+
+def _row_inputs(
+    stations: Sequence[Station],
+) -> tuple[list[float], list[float], list[float], list[float], list[float]]:
+    """One row's per-station inputs as python floats, for the row kernels.
+
+    Returns ``(demand, servers, multiplicity, queueing demand, Seidmann
+    delay)``; the Seidmann split is computed as the vectorized kernels
+    compute it: ``D/m`` and ``D·(m-1)/m``.
+    """
+    demand = [float(s.demand) for s in stations]
+    servers = [float(s.servers) for s in stations]
+    mult = [float(s.multiplicity) for s in stations]
+    qd = [d / m for d, m in zip(demand, servers)]
+    s_delay = [d * (m - 1.0) / m for d, m in zip(demand, servers)]
+    return demand, servers, mult, qd, s_delay
+
+
+def _schweitzer_iterate(
+    qd: list[float],
+    mult: list[float] | None,
+    N: float,
+    z: float,
+    x: float,
+    queue: list[float],
     start_it: int,
     tol: float,
     max_iter: int,
-    x: np.ndarray,
-    queue: np.ndarray,
-    iters: np.ndarray,
-    active: np.ndarray,
-) -> None:
-    """Continue the still-active rows one at a time, scalar python.
+) -> tuple[float, list[float], int, bool]:
+    """Run one row's Schweitzer fixed point from iteration ``start_it``.
 
-    Runs the same IEEE-double operations the vectorized loop would: the
-    per-row arithmetic is element-wise (python floats are the same
-    binary64), and the residence sum goes through the same numpy
-    reduction.  Only the engine changes, never the math — results are
-    bit-identical to letting the array loop finish.
+    ``x`` and ``queue`` are the state the previous iteration left (the
+    initial guess when ``start_it`` is 1); ``mult`` is None for an
+    unweighted row.  Returns ``(x, queue, iterations, converged)``.
+    Every element goes through the binary64 operations of
+    :func:`solve_mva` in the same order, and the row sum through
+    :func:`_add_reduce`, so the result is bit-identical to the numpy
+    loops.  The queue list is only built when the throughput test
+    passes: the next residence is computed from ``x * residence``
+    directly, the value the queue element would hold.
     """
-    for pos in range(len(idx)):
-        row = int(idx[pos])
-        qd = w_qd[pos].tolist()
-        n = len(qd)
-        N = float(w_N[pos])
-        z = float(w_z[pos])
+    nm1 = N - 1.0
+    q = queue  # the queue ``res`` was computed from; None = x * prev
+    res = [a * (1.0 + (b * nm1) / N) for a, b in zip(qd, q)]
+    for it in range(start_it, max_iter + 1):
+        if mult is None:
+            total = z + _add_reduce(res)
+        else:
+            total = z + _add_reduce([r * m for r, m in zip(res, mult)])
+        x_new = N / total if total > 0 else math.inf
+        if abs(x_new - x) <= tol * max(x_new, 1e-12):
+            if q is None:
+                q = [x * r for r in prev]
+            q_new = [x_new * r for r in res]
+            for a, b in zip(q_new, q):
+                if not abs(a - b) <= tol * max(a, 1e-9):
+                    break
+            else:
+                return x_new, q_new, it, True
+        x, prev, q = x_new, res, None
+        res = [a * (1.0 + ((x * r) * nm1) / N) for a, r in zip(qd, prev)]
+    if q is None:
+        q = [x * r for r in prev]
+    return x, q, max_iter, False
+
+
+def _warn_unconverged(population: int, n: int, max_iter: int) -> None:
+    # stacklevel 4: past this helper, the kernel and solve_mva_batch.
+    warnings.warn(
+        f"MVA fixed point did not converge within {max_iter} "
+        f"iterations (N={population}, {n} stations); "
+        f"returning the last iterate",
+        RuntimeWarning,
+        stacklevel=4,
+    )
+
+
+def _solve_rows(
+    networks: Sequence[MvaNetwork],
+    tol: float,
+    max_iter: int,
+) -> list[MvaResult]:
+    """Schweitzer row kernel: solve each network alone in scalar python.
+
+    The setup and output expressions are those of
+    :func:`_solve_batch_group` (and of :func:`solve_mva`) written per
+    element, and the fixed point is :func:`_schweitzer_iterate`, so every
+    field is bit-identical to both.  A few rows of a dozen stations
+    solve several times faster this way than through numpy calls on
+    tiny arrays.
+    """
+    results = []
+    for net in networks:
+        stations = net.stations
+        n = len(stations)
+        demand, servers, mult, qd, s_delay = _row_inputs(stations)
+        weighted = any(m != 1.0 for m in mult)  # repro: noqa[RPL004]
+        N = float(net.population)
+        extra = net.extra_delay
+        if weighted:
+            z = (net.think_time + extra) + _add_reduce(
+                [d * m for d, m in zip(s_delay, mult)]
+            )
+            n_eff = _add_reduce(mult)
+        else:
+            z = (net.think_time + extra) + _add_reduce(s_delay)
+            n_eff = float(n)
+        x, queue, iters, converged = _schweitzer_iterate(
+            qd, mult if weighted else None, N, z, 0.0, [N / n_eff * 0.5] * n,
+            1, tol, max_iter,
+        )
+        if not converged:
+            _warn_unconverged(net.population, n, max_iter)
         nm1 = N - 1.0
-        x_r = float(w_x[pos])
-        q = w_queue[pos].tolist()
-        # The residence sum must go through the numpy reduction (pairwise
-        # summation — a plain python sum() associates differently), so the
-        # python-computed elements are bulk-copied into one array per
-        # iteration.  Element values are exact either way: python floats
-        # are the same binary64 the array holds.
-        res = np.empty(n)
-        mult_row = None if w_mult is None else w_mult[pos]
-        wres = None if mult_row is None else np.empty(n)
-        for it in range(start_it, max_iter + 1):
-            res_l = [a * (1.0 + (b * nm1) / N) for a, b in zip(qd, q)]
-            res[:] = res_l
-            if mult_row is None:
-                total = z + float(res.sum())
-            else:
-                np.multiply(res, mult_row, out=wres)
-                total = z + float(wres.sum())
-            if guard_div and total <= 0:
-                x_new = float("inf")
-            else:
-                x_new = N / total
-            q_new = [x_new * r for r in res_l]
-            converged = abs(x_new - x_r) <= tol * max(x_new, 1e-12)
-            if converged:
-                for a, b in zip(q_new, q):
-                    if not abs(a - b) <= tol * max(a, 1e-9):
-                        converged = False
-                        break
-            x_r, q = x_new, q_new
-            if converged:
-                x[row] = x_r
-                queue[row] = q
-                iters[row] = it
-                active[row] = False
-                break
-        if active[row]:  # exhausted max_iter
-            x[row] = x_r
-            queue[row] = q
-            iters[row] = max_iter
+        residence = [
+            a * (1.0 + (q * nm1) / N) + d for a, q, d in zip(qd, queue, s_delay)
+        ]
+        if weighted:
+            resp = _add_reduce([r * m for r, m in zip(residence, mult)]) + extra
+        else:
+            resp = _add_reduce(residence) + extra
+        names = [s.name for s in stations]
+        utilization = [(x * d) / m for d, m in zip(demand, servers)]
+        results.append(
+            MvaResult(
+                throughput=x,
+                response_time=resp,
+                residence=dict(zip(names, residence)),
+                queue={
+                    name: q + x * d
+                    for name, q, d in zip(names, queue, s_delay)
+                },
+                # ``1.0 if u > 1.0 else u`` is np.minimum(u, 1.0), NaN too.
+                utilization={
+                    name: 1.0 if u > 1.0 else u
+                    for name, u in zip(names, utilization)
+                },
+                iterations=iters,
+                converged=converged,
+            )
+        )
+    return results
 
 
 def _solve_batch_group(
@@ -374,27 +495,31 @@ def _solve_batch_group(
     guard_div = not bool((w_z > 0).all())
     # Ping-pong/scratch buffers for the iteration body, rebuilt on
     # compaction.  ``scratch`` receives the new residence/queue, ``w_x2``
-    # the new throughput; the roles swap each iteration.  Batches small
-    # enough to go straight to the python finisher never need them.
-    if B > _PYTHON_TAIL_MAX:
-        scratch = np.empty_like(w_queue)
-        qtest = np.empty_like(w_queue)
-        qthr = np.empty_like(w_queue)
-        w_x2 = np.empty_like(w_x)
-        total = np.empty_like(w_x)
-        xdiff = np.empty_like(w_x)
-        xthr = np.empty_like(w_x)
-        wscratch = np.empty_like(w_queue) if weighted else None
-    finished_python = False
+    # the new throughput; the roles swap each iteration.
+    scratch = np.empty_like(w_queue)
+    qtest = np.empty_like(w_queue)
+    qthr = np.empty_like(w_queue)
+    w_x2 = np.empty_like(w_x)
+    total = np.empty_like(w_x)
+    xdiff = np.empty_like(w_x)
+    xthr = np.empty_like(w_x)
+    wscratch = np.empty_like(w_queue) if weighted else None
+    finished_rows = False
     with np.errstate(divide="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            if len(idx) <= _PYTHON_TAIL_MAX:
-                # The tail: so few rows that array-call overhead dominates.
-                _finish_rows_python(
-                    idx, w_qd, w_N, w_z, w_x, w_queue, w_mult,
-                    guard_div, it, tol, max_iter, x, queue, iters, active,
-                )
-                finished_python = True
+            if len(idx) <= _ROW_KERNEL_MAX:
+                # The straggler tail: so few rows that array-call overhead
+                # dominates; the row loop continues each from its state.
+                for pos, row in enumerate(idx.tolist()):
+                    x[row], q_row, iters[row], done = _schweitzer_iterate(
+                        w_qd[pos].tolist(),
+                        None if w_mult is None else w_mult[pos].tolist(),
+                        float(w_N[pos]), float(w_z[pos]), float(w_x[pos]),
+                        w_queue[pos].tolist(), it, tol, max_iter,
+                    )
+                    queue[row] = q_row
+                    active[row] = not done
+                finished_rows = True
                 break
             # residence = w_qd * (1.0 + (w_queue * w_Nm1) / w_Ncol)
             np.multiply(w_queue, w_Nm1, out=scratch)
@@ -457,18 +582,12 @@ def _solve_batch_group(
                 xdiff = np.empty_like(w_x)
                 xthr = np.empty_like(w_x)
     if active.any():
-        if not finished_python:
+        if not finished_rows:
             x[idx] = w_x
             queue[idx] = w_queue
             iters[idx] = max_iter
         for i in np.nonzero(active)[0]:
-            warnings.warn(
-                f"MVA fixed point did not converge within {max_iter} "
-                f"iterations (N={networks[i].population}, {n} stations); "
-                f"returning the last iterate",
-                RuntimeWarning,
-                stacklevel=3,
-            )
+            _warn_unconverged(networks[i].population, n, max_iter)
 
     residence = (
         q_demand * (1.0 + queue * (N[:, None] - 1.0) / N[:, None]) + s_delay
@@ -514,16 +633,18 @@ def solve_mva_batch(
     Networks are grouped by ``(method, station count)`` and each group is
     solved with the stations stacked on a batch axis; a per-row
     convergence mask freezes rows that have met the tolerance while the
-    rest keep iterating.  Rows requesting ``method="fluid"`` run the
-    population-independent kernel of :mod:`repro.model.fluid` — a batch
-    may mix exact and fluid rows freely.  Results are returned in
-    submission order and are bit-identical to calling :func:`solve_mva`
-    (or :func:`repro.model.fluid.solve_mva_fluid`) on each network alone
+    rest keep iterating.  A group of at most ``_ROW_KERNEL_MAX`` rows
+    runs the scalar-python row kernel instead, row by row.  Rows
+    requesting ``method="fluid"`` run the population-independent kernels
+    of :mod:`repro.model.fluid` — a batch may mix exact and fluid rows
+    freely.  Results are returned in submission order and are
+    bit-identical to calling :func:`solve_mva` (or
+    :func:`repro.model.fluid.solve_mva_fluid`) on each network alone
     (grouping avoids padding, which would perturb the pairwise summation
     order within a row).
     """
     # Deferred to dodge the module cycle (fluid builds MvaNetwork rows).
-    from repro.model.fluid import _solve_fluid_group
+    from repro.model.fluid import _solve_fluid_group, _solve_fluid_rows
 
     results: list[MvaResult | None] = [None] * len(networks)
     groups: dict[tuple[str, int], list[int]] = {}
@@ -540,12 +661,16 @@ def solve_mva_batch(
         else:
             groups.setdefault((net.method, n), []).append(i)
     for (method, _), indices in groups.items():
+        rows = [networks[i] for i in indices]
         if method == "fluid":
-            solved = _solve_fluid_group([networks[i] for i in indices])
+            if len(rows) <= _ROW_KERNEL_MAX:
+                solved = _solve_fluid_rows(rows)
+            else:
+                solved = _solve_fluid_group(rows)
+        elif len(rows) <= _ROW_KERNEL_MAX:
+            solved = _solve_rows(rows, tol, max_iter)
         else:
-            solved = _solve_batch_group(
-                [networks[i] for i in indices], tol, max_iter
-            )
+            solved = _solve_batch_group(rows, tol, max_iter)
         for i, result in zip(indices, solved):
             results[i] = result
     assert all(r is not None for r in results)

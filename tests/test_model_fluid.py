@@ -1,7 +1,9 @@
 """Tests for the fluid/mean-field MVA solver."""
 
+import numpy as np
 import pytest
 
+from repro.model import mva
 from repro.model.fluid import solve_mva_fluid
 from repro.model.mva import (
     MvaNetwork,
@@ -10,6 +12,7 @@ from repro.model.mva import (
     solve_mva_batch,
     solve_mva_exact,
 )
+from tests.test_mva_batch import random_network, result_bits, solve_in_row_groups
 
 #: Station sets for the parametrized exact-vs-fluid comparisons.
 MIXES = {
@@ -132,10 +135,13 @@ class TestDegenerates:
 class TestBatchConsistency:
     def test_batch_matches_scalar(self):
         # Fluid rows in a batch must equal the scalar solver bit for bit.
+        # The scalar solver runs the row kernel; a batch above the
+        # row-kernel cutoff runs the vectorized one.
         nets = [
             MvaNetwork(tuple(MIXES["balanced"]), n, 1.0, method="fluid")
-            for n in (10, 500, 100_000)
+            for n in (10, 500, 100_000, 1, 40, 2_000, 10**6, 10**9)
         ]
+        assert len(nets) > mva._ROW_KERNEL_MAX
         batch = solve_mva_batch(nets)
         for net, got in zip(nets, batch):
             ref = solve_mva_fluid(
@@ -145,6 +151,41 @@ class TestBatchConsistency:
             assert got.response_time == ref.response_time
             assert got.iterations == ref.iterations
             assert got.queue == ref.queue
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_randomized_rows_bit_identical(self, seed):
+        # Random fluid rows of one station count, plus pure-delay rows
+        # (no queueing demand; one with no delay at all, whose throughput
+        # is inf): the row kernel, alone and in small groups, must equal
+        # the vectorized kernel on the whole group, field for field.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(129, 301) if seed % 4 == 3 else rng.integers(1, 41))
+        nets = [
+            random_network(rng, n, method="fluid")
+            for _ in range(2 * mva._ROW_KERNEL_MAX)
+        ]
+        idle = tuple(
+            Station(f"s{j}", 0.0, servers=int(rng.integers(1, 5)),
+                    multiplicity=int(rng.integers(1, 9)))
+            for j in range(n)
+        )
+        nets += [
+            MvaNetwork(idle, 1000, 2.0, 0.1, method="fluid"),
+            MvaNetwork(idle, 7, 0.0, method="fluid"),
+        ]
+        vectorized = solve_mva_batch(nets)
+        rows = solve_in_row_groups(nets)
+        scalar = [
+            solve_mva_fluid(
+                list(net.stations), net.population, net.think_time,
+                net.extra_delay,
+            )
+            for net in nets
+        ]
+        assert vectorized[-1].throughput == float("inf")
+        want = [result_bits(r) for r in vectorized]
+        assert [result_bits(r) for r in rows] == want
+        assert [result_bits(r) for r in scalar] == want
 
     def test_mixed_methods_batch(self):
         # Schweitzer and fluid rows mix in one batch; each row matches
