@@ -6,8 +6,8 @@ Five arms over the reduced Fig-4 matrix, all asserted bit-identical:
   the run.
 * **process --jobs 4** — PR 1's pool: per-run workers, cache-cold every
   run, counters now delta-aggregated.
-* **shared --jobs 1 (cold)** — the vectorized gang path: concurrent
-  specs' cold solves fused into cross-experiment mega-batches.
+* **shared --jobs 1 (cold)** — the serial in-process path over the
+  persistent shared caches, starting empty.
 * **shared --jobs 1 (warm)** — the same run again on the same engine:
   the cross-run payoff, served from the persistent shared cache.
 * **shared --jobs 2 (fleet)** — the persistent worker fleet over the
@@ -17,8 +17,8 @@ Plus a reduced Table-4 pass (process vs shared, cold and warm) on the
 multi-node cluster workload.
 
 Host-aware assertions: this harness must pass on a 1-CPU CI runner, so
-the hard gates are the ones a single core can demonstrate — the
-vectorized ``jobs=1`` path beating the serial no-cache baseline, a >= 2x
+the hard gates are the ones a single core can demonstrate — the cold
+shared ``jobs=1`` path beating the serial no-cache baseline, a >= 2x
 cross-run speedup from the shared cache (warm shared vs cold process),
 and a cross-run/cross-worker shared-cache hit rate above zero.  Fleet
 fan-out speedups are recorded, and gated only when the host actually has
@@ -96,7 +96,6 @@ def test_shared_engine_speedups(report):
     SharedEngine.reset()
     t_shared_cold, r_shared_cold = _timed_fig4("shared", 1)
     t_shared_warm, r_shared_warm = _timed_fig4("shared", 1)
-    vector_stats = SharedEngine.instance().stats()
     t_shared_fleet, r_shared_fleet = _timed_fig4("shared", 2)
 
     # Hard constraint: every engine/jobs setting, cold or warm, produces
@@ -111,11 +110,7 @@ def test_shared_engine_speedups(report):
     ):
         assert _canonical(arm) == baseline
 
-    # The vectorized gang actually fused cross-spec mega-batches.
-    assert vector_stats["gang_batches"] >= 1
-    assert vector_stats["gang_max_width"] >= 2
-
-    # 1-core acceptance: the vectorized jobs=1 path beats the serial
+    # 1-core acceptance: the cold shared jobs=1 path beats the serial
     # no-cache baseline outright...
     assert t_shared_cold < t_serial
     # ...and the persistent cache turns the second run into >= 2x over a
@@ -131,7 +126,7 @@ def test_shared_engine_speedups(report):
     assert warm_stats.get("measurement_hit_rate", 0) > 0
 
     # Cross-worker hit rate > 0: fleet workers (cache-cold processes)
-    # were served by the shared store the vectorized runs populated.
+    # were served by the shared store the jobs=1 runs populated.
     fleet_stats = dict(r_shared_fleet.cache_stats or {})
     shared_hits = fleet_stats.get(
         "measurement_shared_hits", 0
@@ -161,7 +156,7 @@ def test_shared_engine_speedups(report):
             "Persistent shared-cache engine vs the per-run process pool "
             "on reduced Fig-4 and Table-4 workloads.  All arms asserted "
             "bit-identical; speedup gates are host-aware (1-CPU CI must "
-            "pass on the vectorized and cross-run wins alone)."
+            "pass on the cache and cross-run wins alone)."
         ),
         "host_cpus": host_cpus,
         "oversubscribed_jobs4": host_cpus < 4,
@@ -173,12 +168,9 @@ def test_shared_engine_speedups(report):
             "shared_jobs1_cold_seconds": round(t_shared_cold, 3),
             "shared_jobs1_warm_seconds": round(t_shared_warm, 3),
             "shared_jobs2_fleet_seconds": round(t_shared_fleet, 3),
-            "vectorized_vs_serial_speedup": round(t_serial / t_shared_cold, 2),
+            "shared_cold_vs_serial_speedup": round(t_serial / t_shared_cold, 2),
             "cross_run_speedup_warm_vs_process": round(cross_run_speedup, 2),
             "fleet_vs_process_jobs4_speedup": round(fleet_speedup, 2),
-            "gang_batches": vector_stats["gang_batches"],
-            "gang_rows": vector_stats["gang_rows"],
-            "gang_max_width": vector_stats["gang_max_width"],
             "warm_run_cache_stats": warm_stats,
             "fleet_run_cache_stats": fleet_stats,
             "bit_identical": True,
@@ -204,8 +196,6 @@ def test_shared_engine_speedups(report):
         "process)",
         f"  fig4 shared  --jobs 2    {t_shared_fleet:6.2f} s (fleet, warm "
         "store)",
-        f"  gang: {vector_stats['gang_batches']:.0f} fused batches, "
-        f"max width {vector_stats['gang_max_width']:.0f}",
         f"  fleet shared-store hits: {shared_hits:.0f}",
         f"  table4 process {t_t4_process:.2f} s; shared {t_t4_cold:.2f} s "
         f"cold / {t_t4_warm:.2f} s warm",

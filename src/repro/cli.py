@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
             "execution engine for the run plan: inline (serial in-process), "
             "process (per-run worker pool), or shared (one persistent "
             "worker fleet reused across experiments over a cross-process "
-            "shared cache; jobs=1 takes the vectorized mega-batch path). "
+            "shared cache; jobs=1 runs serially in-process over it). "
             "Default: shared for the fan-out drivers (fig4, table4, "
             "sensitivity, scale) when jobs > 1, process otherwise; "
             "results are bit-identical at every setting"

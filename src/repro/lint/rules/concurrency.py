@@ -1,13 +1,13 @@
 """RPL101–RPL104 — shared-state and lock-discipline rules.
 
 PR 5's shared execution engine made the repository genuinely concurrent:
-a persistent worker fleet, a Manager-backed cross-process store, thread
-gangs over one backend, and layered L1/L2 caches.  The RPL00x family
-guards single-threaded determinism; these rules guard the places where
-races now live.  All four are AST heuristics over *lock-bearing* code —
-a class (or module) that constructs a ``threading``/``multiprocessing``
-synchronization primitive is declaring "instances of me are shared", and
-that declaration is what the rules key on:
+a persistent worker fleet, a Manager-backed cross-process store, and
+layered L1/L2 caches.  The RPL00x family guards single-threaded
+determinism; these rules guard the places where races now live.  All
+four are AST heuristics over *lock-bearing* code — a class (or module)
+that constructs a ``threading``/``multiprocessing`` synchronization
+primitive is declaring "instances of me are shared", and that
+declaration is what the rules key on:
 
 * RPL101 — mutating a non-lock ``self`` attribute outside every
   ``with self.<lock>:`` block of a lock-bearing class.
@@ -25,7 +25,7 @@ that declaration is what the rules key on:
 The rules are heuristic by design; a deliberate exception takes a
 ``# repro: noqa[RPL10x]`` with a one-line justification, which is
 repository policy anyway.  The runtime sanitizer
-(:mod:`repro.lint.sanitizer`, rules RPL151–RPL154) re-checks the same
+(:mod:`repro.lint.sanitizer`, rules RPL151–RPL153) re-checks the same
 hazards dynamically with real held-lock sets.
 """
 
@@ -165,7 +165,7 @@ class UnguardedSharedMutationRule(Rule):
     ``self`` attributes (assignment, augmented assignment, subscript
     store, or an in-place container method like ``.append``/``.update``)
     must then happen inside a ``with self.<lock>:`` block — otherwise a
-    gang thread or fleet callback can interleave mid-update and corrupt
+    second thread or a fleet callback can interleave mid-update and corrupt
     counters, caches, or the worker-visible structures the shared engine
     collates results from.  Construction (``__init__``/``__post_init__``)
     is exempt (the instance is not yet shared), and check-then-set lazy

@@ -20,7 +20,7 @@ never mattered in-process:
   mid-task; dropping that error silently loses the task's results.
 
 Like their RPL10x siblings in :mod:`repro.lint.rules.concurrency`, these
-are heuristics: the runtime sanitizer (RPL151–RPL154) covers the dynamic
+are heuristics: the runtime sanitizer (RPL151–RPL153) covers the dynamic
 half, and deliberate exceptions take ``# repro: noqa[RPL10x]`` with a
 justification.
 """
@@ -70,7 +70,6 @@ _BATCH_FUNCTIONS = frozenset(
         "prefetch_configs",
         "prefetch_frontier",
         "absorb_solutions",
-        "run_gang",
     }
 )
 

@@ -6,7 +6,7 @@ environment, ``--sanitize`` on the CLI, or a test's :func:`scope`), the
 ``repro.parallel`` hot objects construct their locks through
 :func:`wrap_lock` and call the check hooks below, and the sanitizer
 records *real* held-lock sets, access sites, and cache values to report
-four dynamic hazards through the ordinary lint :class:`Finding` schema
+three dynamic hazards through the ordinary lint :class:`Finding` schema
 (``phase="runtime"``):
 
 * **RPL151 — lock-order inversion observed.**  Every acquisition while
@@ -25,11 +25,6 @@ four dynamic hazards through the ordinary lint :class:`Finding` schema
   rests on "any writer writes the same bytes"; a divergence is a
   fingerprint bug upstream and would silently split results by cache
   topology.
-* **RPL154 — fused-solve fingerprint mismatch.**  :func:`check_fused`
-  re-solves each gang group solo and compares against its slice of the
-  fused mega-batch, checking the lockstep bit-identity contract on the
-  actual batches a run produced (roughly doubling solve cost — this is
-  the expensive check, and the reason the sanitizer is opt-in).
 
 The sanitizer is deliberately dependency-free and in-process: state is
 module-global, guarded by one short-hold lock, and never crosses
@@ -46,7 +41,7 @@ import threading
 import traceback
 from contextlib import contextmanager
 from pathlib import PurePosixPath
-from typing import Any, Callable, Iterator, Optional, Sequence
+from typing import Any, Iterator, Optional, Sequence
 
 from repro.lint.core import Finding, Severity
 
@@ -58,7 +53,6 @@ __all__ = [
     "expect_held",
     "monitored_region",
     "check_coherent",
-    "check_fused",
     "findings",
     "take_findings",
     "absorb",
@@ -71,7 +65,6 @@ RUNTIME_RULES = {
     "RPL151": "lock-order inversion observed at runtime",
     "RPL152": "unsynchronized concurrent mutation of shared state",
     "RPL153": "cache coherence divergence (same key, different value)",
-    "RPL154": "fused mega-batch solve diverged from solo re-solve",
 }
 
 _ENV_VAR = "REPRO_SANITIZE"
@@ -415,7 +408,7 @@ def monitored_region(name: str, op: str = "write") -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
-# Coherence and fused-solve fingerprint checks (RPL153, RPL154)
+# Coherence check (RPL153)
 # ----------------------------------------------------------------------
 def _divergent(old: Any, new: Any) -> bool:
     try:
@@ -441,37 +434,3 @@ def check_coherent(kind: str, key: Any, old: Any, new: Any) -> None:
             "cached; content-addressed keys must determine their values",
         )
 
-
-def check_fused(
-    solve_fn: Callable[[list, Optional[Any]], list],
-    groups: Sequence[tuple[list, Optional[list]]],
-    outer_budget: Optional[Any],
-) -> None:
-    """Record RPL154 when a fused batch's slices differ from solo solves.
-
-    ``groups`` holds ``(tasks, fused_results)`` per gang member; each is
-    re-solved alone and compared by repr.  This doubles solve cost and
-    only runs when the sanitizer is active.
-    """
-    if not active():
-        return
-    for index, (tasks, fused) in enumerate(groups):
-        if fused is None:
-            continue
-        try:
-            solo = solve_fn(list(tasks), outer_budget)
-        except Exception as exc:
-            _record(
-                "RPL154",
-                f"solo re-solve of fused group {index} raised {exc!r} "
-                "while the fused mega-batch succeeded; batch and solo "
-                "paths must agree",
-            )
-            continue
-        if repr(list(solo)) != repr(list(fused)):
-            _record(
-                "RPL154",
-                f"fused mega-batch results for group {index} "
-                f"({len(tasks)} task(s)) differ from a solo re-solve; "
-                "the lockstep bit-identity contract is broken",
-            )

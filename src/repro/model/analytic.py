@@ -15,16 +15,16 @@ The result is deterministic; the configured :class:`NoiseModel` then turns
 the model throughput into one noisy "measured" WIPS per seed, exactly the
 signal the Harmony server consumes.
 
-Because step 2 dominates, the backend also exposes a batched path:
-:meth:`AnalyticBackend.solve_batch` runs the outer fixed point for many
-configurations in lockstep, submitting every active configuration's
-network to :func:`repro.model.mva.solve_mva_batch` as one vectorized
-solve per outer iteration.  Each configuration's trajectory is
-independent (converged ones are frozen), so batched solutions are
-bit-identical to scalar ones.  :meth:`AnalyticBackend.measure_batch`
-builds on it, deduplicating identical configurations (only the noise
-draw depends on the seed) and consulting a per-backend LRU solution
-cache keyed on ``(scenario fingerprint, configuration)``.
+Because step 2 dominates, every solve is batched:
+:meth:`AnalyticBackend.solve_tasks_multi` runs the outer fixed point for
+many tasks in lockstep, submitting every active task's network to
+:func:`repro.model.mva.solve_mva_batch` as one solve per outer
+iteration.  Each task's trajectory is independent (converged ones are
+frozen), so a task's solution does not depend on what else shares its
+batch.  :meth:`AnalyticBackend.measure_batch` builds on it,
+deduplicating identical configurations (only the noise draw depends on
+the seed) and consulting a per-backend LRU solution cache keyed on
+``(scenario fingerprint, configuration)``.
 """
 
 from __future__ import annotations
@@ -255,7 +255,6 @@ class AnalyticBackend(PerformanceBackend):
         damping: float = 0.5,
         tol: float = 2e-4,
         solution_cache_size: int = 4096,
-        prefetch_outer_budget: Optional[int] = None,
         approximation: str = "auto",
         fluid_population_threshold: int = 50_000,
         hierarchy_node_threshold: int = 16,
@@ -265,8 +264,6 @@ class AnalyticBackend(PerformanceBackend):
             raise ValueError("damping must be in (0, 1]")
         if solution_cache_size < 0:
             raise ValueError("solution_cache_size must be >= 0 (0 disables)")
-        if prefetch_outer_budget is not None and prefetch_outer_budget < 1:
-            raise ValueError("prefetch_outer_budget must be >= 1 (None = full)")
         if approximation not in APPROXIMATIONS:
             raise ValueError(
                 f"unknown approximation {approximation!r}; expected one of "
@@ -288,16 +285,6 @@ class AnalyticBackend(PerformanceBackend):
         self.damping = damping
         self.tol = tol
         self.solution_cache_size = solution_cache_size
-        # Speculative prefetches abandon rows whose outer fixed point has
-        # not converged within this many rounds (None = run to max_outer).
-        # Abandoned rows are simply not cached; if later committed they
-        # solve at the ordinary serial price, so results are unaffected.
-        # Off by default: the TPC-W fixed point usually *exhausts*
-        # max_outer rather than converging (the exhausted last iterate is
-        # the solution), so a budget below max_outer abandons nearly every
-        # row — the knob only pays on models where early convergence is
-        # the norm and stragglers the exception.
-        self.prefetch_outer_budget = prefetch_outer_budget
         self._context_cache: dict[tuple, WorkloadContext] = {}
         # Deterministic-solution memo: (scenario fp, config) → solution.
         # The solve is seed-independent (only the noise draw varies), so
@@ -369,15 +356,33 @@ class AnalyticBackend(PerformanceBackend):
             return ()
         return (("approx", fluid, hier),)
 
-    def solve(
+    def solve_tasks_multi(
         self,
-        cluster: ClusterSpec,
-        configuration: Mapping[str, int],
-        ctx: WorkloadContext,
-        population: int,
-        think_time: float,
-    ) -> AnalyticSolution:
-        """Deterministic model solution for one sub-system.
+        tasks: Sequence[
+            tuple[ClusterSpec, Mapping[str, int], int, WorkloadContext, float]
+        ],
+    ) -> list[AnalyticSolution]:
+        """Deterministic model solutions for many tasks, in lockstep.
+
+        Each task is ``(cluster, configuration, population, workload
+        context, think time)`` — the fully-qualified input of one
+        deterministic solve — so one batch may mix (sub-)clusters,
+        populations and workloads: a partitioned scenario's work lines,
+        all three Figure-4 workload mixes, a speculative frontier.  Every
+        cold solve of the backend comes through here.  Each outer
+        iteration submits every still-active task's network as one
+        :func:`solve_mva_batch` call, and tasks whose outer fixed point
+        has converged are frozen.  Each task's trajectory is independent
+        (freezing changes which rounds run, never their values), so a
+        task's solution is bit-identical whatever else shares its batch.
+
+        Every size runs through :func:`solve_mva_batch`: a group of a
+        few rows (per method and station count; ``_ROW_KERNEL_MAX`` in
+        :mod:`repro.model.mva`) runs its scalar-python row kernel, and a
+        larger Schweitzer group hands its last few active rows to the
+        same row loop, so one-task sets pay no per-call array overhead.
+        Identical results either way — the kernels are bit-identical by
+        contract.
 
         Thread and connection pools enter the MVA as multi-server stations
         whose per-interaction demand is ``visits × holding time``, where the
@@ -394,104 +399,10 @@ class AnalyticBackend(PerformanceBackend):
         which is small against the 7 s think time away from saturation and
         is the standard price of this flow-equivalent approximation.)
 
-        The ``approximation`` policy applies here as everywhere: above
-        the auto thresholds (or under a forced mode) the inner network is
-        solved fluid and/or tier-aggregated; see :data:`APPROXIMATIONS`.
+        The ``approximation`` policy applies per task: above the auto
+        thresholds (or under a forced mode) the inner network is solved
+        fluid and/or tier-aggregated; see :data:`APPROXIMATIONS`.
         """
-        (sol,) = self.solve_tasks_multi(
-            [(cluster, configuration, population, ctx, think_time)]
-        )
-        assert sol is not None  # no outer_budget → solved
-        return sol
-
-    def solve_batch(
-        self,
-        cluster: ClusterSpec,
-        configurations: Sequence[Mapping[str, int]],
-        ctx: WorkloadContext,
-        population: int,
-        think_time: float,
-    ) -> list[AnalyticSolution]:
-        """Solve many configurations of one scenario in lockstep.
-
-        Each outer iteration submits every still-active configuration's
-        network as one :func:`solve_mva_batch` call; configurations whose
-        outer fixed point has converged are frozen.  The per-configuration
-        trajectories are exactly those of :meth:`solve` (the batched MVA is
-        bit-identical per row), so the returned solutions equal the scalar
-        ones bit for bit.
-        """
-        return self.solve_tasks(
-            [(cluster, cfg, population) for cfg in configurations],
-            ctx,
-            think_time,
-        )
-
-    def solve_tasks(
-        self,
-        tasks: Sequence[tuple[ClusterSpec, Mapping[str, int], int]],
-        ctx: WorkloadContext,
-        think_time: float,
-        outer_budget: Optional[int] = None,
-    ) -> list[Optional[AnalyticSolution]]:
-        """Solve heterogeneous ``(cluster, configuration, population)`` tasks
-        in lockstep — one :func:`solve_mva_batch` call per outer iteration.
-
-        This generalizes :meth:`solve_batch` to tasks on *different*
-        (sub-)clusters and populations, which is what a partitioned
-        scenario's work lines and a speculative cross-group frontier need.
-        Each task's trajectory is independent and bit-identical to
-        :meth:`solve` on the same task.
-
-        Every size runs through :func:`solve_mva_batch`: a group of a
-        few rows (per method and station count; ``_ROW_KERNEL_MAX`` in
-        :mod:`repro.model.mva`) runs its scalar-python row kernel, and a
-        larger Schweitzer group hands its last few active rows to the
-        same row loop, so one-task sets pay no per-call array overhead.
-        Identical results either way — the kernels are bit-identical by
-        contract.
-
-        ``outer_budget`` caps the outer rounds *without* compromising
-        results: a task whose fixed point converges within the budget
-        yields the exact :meth:`solve` solution (the convergence round is
-        intrinsic to the task — lockstep freezing changes which rounds
-        run, never their values), and a task that does not is returned as
-        ``None`` rather than as a different iterate.  Prefetch paths use
-        this to abandon straggler speculation cheaply; measurement paths
-        leave it ``None`` (run to ``max_outer``, every entry solved).
-        """
-        return self.solve_tasks_multi(
-            [
-                (cluster, cfg, population, ctx, think_time)
-                for cluster, cfg, population in tasks
-            ],
-            outer_budget=outer_budget,
-        )
-
-    def solve_tasks_multi(
-        self,
-        tasks: Sequence[
-            tuple[ClusterSpec, Mapping[str, int], int, WorkloadContext, float]
-        ],
-        outer_budget: Optional[int] = None,
-    ) -> list[Optional[AnalyticSolution]]:
-        """Lockstep-solve tasks that may span *different workloads*.
-
-        Each task is ``(cluster, configuration, population, workload
-        context, think time)`` — the fully-qualified input of one
-        deterministic solve.  Where :meth:`solve_tasks` fixes one
-        ``(ctx, think)`` pair for the whole batch, this form lets one
-        :func:`solve_mva_batch` call fuse tasks from unrelated scenarios:
-        all three Figure-4 workload mixes, or the pending solves of every
-        experiment a shared execution engine is currently draining.  Per
-        task it is bit-identical to :meth:`solve` (lockstep freezing
-        changes which rounds run, never their values); ``outer_budget``
-        behaves exactly as in :meth:`solve_tasks`.
-        """
-        rounds = self.max_outer if outer_budget is None else min(
-            outer_budget, self.max_outer
-        )
-        budgeted = rounds < self.max_outer
         states = []
         for cluster, cfg, population, _, _ in tasks:
             fluid, hier = self.resolve_modes(cluster, population)
@@ -502,7 +413,7 @@ class AnalyticBackend(PerformanceBackend):
                     agg = plan
             states.append(_OuterState(cluster, cfg, fluid=fluid, agg=agg))
         pairs = list(zip(states, tasks))
-        for _ in range(rounds):
+        for _ in range(self.max_outer):
             active = [(st, t) for st, t in pairs if not st.done]
             if not active:
                 break
@@ -520,31 +431,7 @@ class AnalyticBackend(PerformanceBackend):
                 st.mva = mva
                 if self._refresh_state(st):
                     st.done = True
-        return [
-            None if budgeted and not st.done else self._finalize_state(st)
-            for st in states
-        ]
-
-    def _solve_cold(
-        self,
-        tasks: Sequence[
-            tuple[ClusterSpec, Mapping[str, int], int, WorkloadContext, float]
-        ],
-        outer_budget: Optional[int] = None,
-    ) -> list[Optional[AnalyticSolution]]:
-        """Every cold deterministic solve funnels through this one hook.
-
-        All measurement and prefetch paths route their cache misses here
-        (as :meth:`solve_tasks_multi` task tuples) instead of calling the
-        solvers directly.  The default is a plain lockstep batch; the
-        shared execution engine overrides it to rendezvous cold solves
-        from concurrently-running specs into cross-experiment mega-batches.
-        Overrides must preserve the contract: the returned list matches
-        ``tasks`` element-wise and each entry equals what
-        :meth:`solve_tasks_multi` would have produced (``None`` only under
-        an ``outer_budget``).
-        """
-        return self.solve_tasks_multi(tasks, outer_budget=outer_budget)
+        return [self._finalize_state(st) for st in states]
 
     # ------------------------------------------------------------------
     def _assemble_stations(
@@ -825,10 +712,9 @@ class AnalyticBackend(PerformanceBackend):
         key = self._solution_key(scenario, configuration)
         sol = self._solution_get(key)
         if sol is None:
-            (sol,) = self._solve_cold(
+            (sol,) = self.solve_tasks_multi(
                 [(scenario.cluster, configuration, scenario.population, ctx, think)]
             )
-            assert sol is not None  # no outer_budget → every task solved
             self._solution_put(key, sol)
         return sol
 
@@ -948,18 +834,19 @@ class AnalyticBackend(PerformanceBackend):
         if scenario.work_lines:
             tasks = self._line_tasks(scenario, configuration)
             solutions: dict[tuple, AnalyticSolution] = {}
-            cold: OrderedDict[tuple, tuple] = OrderedDict()
+            cold_keys: list[tuple] = []
+            cold_tasks: list[tuple] = []
+            # Each line key names its line, so no key repeats here.
             for _, key, sub_cluster, sub_cfg, sub_pop in tasks:
-                if key in solutions or key in cold:
-                    continue
                 sol = self._solution_get(key)
                 if sol is None:
-                    cold[key] = (sub_cluster, sub_cfg, sub_pop, ctx, think)
+                    cold_keys.append(key)
+                    cold_tasks.append((sub_cluster, sub_cfg, sub_pop, ctx, think))
                 else:
                     solutions[key] = sol
-            if cold:
-                for key, sol in zip(cold, self._solve_cold(list(cold.values()))):
-                    assert sol is not None
+            if cold_tasks:
+                solved = self.solve_tasks_multi(cold_tasks)
+                for key, sol in zip(cold_keys, solved):
                     self._solution_put(key, sol)
                     solutions[key] = sol
             return self._measure_partitioned(
@@ -996,36 +883,39 @@ class AnalyticBackend(PerformanceBackend):
 
         The deterministic solve depends only on the configuration, so the
         distinct configurations are deduplicated, looked up in the solution
-        memo, and the misses submitted to :meth:`solve_batch` as a single
-        lockstep batch; each request then draws its own noise exactly as
-        :meth:`measure` would.  Results are bit-identical to the serial
-        loop.  Partitioned (work-line) scenarios decompose into per-line
-        tasks, deduplicate them across requests, and solve the cold ones in
-        one :meth:`solve_tasks` batch.
+        memo, and the misses submitted to :meth:`solve_tasks_multi` as a
+        single lockstep batch; each request then draws its own noise
+        exactly as :meth:`measure` would.  Results are bit-identical to
+        the serial loop.  Partitioned (work-line) scenarios decompose into
+        per-line tasks, deduplicate them across requests, and solve the
+        cold ones in one batch as well.
         """
         ctx = self._context(scenario)
         think = scenario.behavior.effective_mean_think_time
         if scenario.work_lines:
             task_lists: dict[Configuration, list] = {}
             solutions: dict[tuple, AnalyticSolution] = {}
-            cold: OrderedDict[tuple, tuple] = OrderedDict()
+            probed: set[tuple] = set()
+            cold_keys: list[tuple] = []
+            cold_tasks: list[tuple] = []
             for cfg, _ in requests:
                 if cfg in task_lists:
                     continue
                 tasks = self._line_tasks(scenario, cfg)
                 task_lists[cfg] = tasks
                 for _, key, sub_cluster, sub_cfg, sub_pop in tasks:
-                    if key in solutions or key in cold:
+                    if key in probed:
                         continue
+                    probed.add(key)
                     sol = self._solution_get(key)
                     if sol is None:
-                        cold[key] = (sub_cluster, sub_cfg, sub_pop, ctx, think)
+                        cold_keys.append(key)
+                        cold_tasks.append((sub_cluster, sub_cfg, sub_pop, ctx, think))
                     else:
                         solutions[key] = sol
-            if cold:
-                solved = self._solve_cold(list(cold.values()))
-                for key, sol in zip(cold, solved):
-                    assert sol is not None
+            if cold_tasks:
+                solved = self.solve_tasks_multi(cold_tasks)
+                for key, sol in zip(cold_keys, solved):
                     self._solution_put(key, sol)
                     solutions[key] = sol
             out = []
@@ -1038,37 +928,28 @@ class AnalyticBackend(PerformanceBackend):
                 )
             return out
 
-        order: dict[Configuration, int] = {}
-        for cfg, _ in requests:
-            if cfg not in order:
-                order[cfg] = len(order)
-        distinct = list(order)
-        solutions: list[Optional[AnalyticSolution]] = [None] * len(distinct)
-        to_solve: list[int] = []
-        for i, cfg in enumerate(distinct):
+        by_config: dict[Configuration, AnalyticSolution] = {}
+        cold_configs: list[Configuration] = []
+        for cfg in dict.fromkeys(cfg for cfg, _ in requests):
             sol = self._solution_get(self._solution_key(scenario, cfg))
             if sol is None:
-                to_solve.append(i)
+                cold_configs.append(cfg)
             else:
-                solutions[i] = sol
-        if to_solve:
-            solved = self._solve_cold(
+                by_config[cfg] = sol
+        if cold_configs:
+            solved = self.solve_tasks_multi(
                 [
-                    (scenario.cluster, distinct[i], scenario.population, ctx, think)
-                    for i in to_solve
+                    (scenario.cluster, cfg, scenario.population, ctx, think)
+                    for cfg in cold_configs
                 ]
             )
-            for i, sol in zip(to_solve, solved):
-                assert sol is not None
-                solutions[i] = sol
-                self._solution_put(
-                    self._solution_key(scenario, distinct[i]), sol
-                )
+            for cfg, sol in zip(cold_configs, solved):
+                by_config[cfg] = sol
+                self._solution_put(self._solution_key(scenario, cfg), sol)
 
         out = []
         for cfg, seed in requests:
-            sol = solutions[order[cfg]]
-            assert sol is not None
+            sol = by_config[cfg]
             extremeness = scenario.cluster.full_space().extremeness(cfg)
             rng = spawn_rng(seed, "analytic-measure")
             wips = self.noise.apply(
@@ -1105,38 +986,39 @@ class AnalyticBackend(PerformanceBackend):
         frontier that varies one group's fragment costs one sub-solve per
         *new* fragment, not per full configuration.  Cache probes bypass
         the hit/miss counters (see :meth:`_solution_peek`), and nothing
-        here affects measured values — only their latency.  Straggler
-        tasks whose fixed point misses ``prefetch_outer_budget`` rounds
-        are abandoned uncached (see :meth:`solve_tasks`) instead of
-        burning the full ``max_outer`` on a solution nobody may ask for.
-        Returns the number of cold solves completed and cached.
+        here affects measured values — only their latency.  Returns the
+        number of cold solves completed and cached.
         """
         if self.solution_cache_size == 0 or not configurations:
             return 0
         ctx = self._context(scenario)
         think = scenario.behavior.effective_mean_think_time
-        cold: OrderedDict[tuple, tuple] = OrderedDict()
         if scenario.work_lines:
-            for cfg in configurations:
+            candidates = (
+                (key, (sub_cluster, sub_cfg, sub_pop, ctx, think))
+                for cfg in configurations
                 for _, key, sub_cluster, sub_cfg, sub_pop in self._line_tasks(
                     scenario, cfg
-                ):
-                    if key not in cold and self._solution_peek(key) is None:
-                        cold[key] = (sub_cluster, sub_cfg, sub_pop, ctx, think)
+                )
+            )
         else:
-            for cfg in configurations:
-                key = self._solution_key(scenario, cfg)
-                if key not in cold and self._solution_peek(key) is None:
-                    cold[key] = (scenario.cluster, cfg, scenario.population, ctx, think)
-        if not cold:
+            candidates = (
+                (
+                    self._solution_key(scenario, cfg),
+                    (scenario.cluster, cfg, scenario.population, ctx, think),
+                )
+                for cfg in configurations
+            )
+        queued: set[tuple] = set()
+        cold_keys: list[tuple] = []
+        cold_tasks: list[tuple] = []
+        for key, task in candidates:
+            if key not in queued and self._solution_peek(key) is None:
+                queued.add(key)
+                cold_keys.append(key)
+                cold_tasks.append(task)
+        if not cold_tasks:
             return 0
-        solved = self._solve_cold(
-            list(cold.values()),
-            outer_budget=self.prefetch_outer_budget,
-        )
-        stored = 0
-        for key, sol in zip(cold, solved):
-            if sol is not None:
-                self._solution_put(key, sol)
-                stored += 1
-        return stored
+        for key, sol in zip(cold_keys, self.solve_tasks_multi(cold_tasks)):
+            self._solution_put(key, sol)
+        return len(cold_tasks)

@@ -12,7 +12,7 @@ specs under one of three engines (the ``--engine`` axis):
 * ``process`` — a per-run :class:`concurrent.futures.ProcessPoolExecutor`;
 * ``shared`` — the persistent :class:`~repro.parallel.engine.SharedEngine`
   (a worker fleet reused across runs over a cross-process shared cache,
-  with a gang-scheduled vectorized path at ``jobs=1``).
+  with a serial in-process path over the same cache at ``jobs=1``).
 
 Every run carries its own seed (derived deterministically with
 :func:`repro.util.rng.derive_seed`) and every cache is content-addressed

@@ -16,11 +16,9 @@ opposite life cycle — one :class:`SharedEngine` per CLI invocation:
   solution and measurement memos of the parent *and* every worker: a
   configuration solved anywhere is a hit everywhere, including in later
   experiments of the same invocation.
-* **A vectorized single-process path.**  ``jobs=1`` plans are
-  gang-scheduled through :func:`~repro.parallel.vector.run_gang`, fusing
-  the cold solves of all concurrently-running specs into cross-experiment
-  ``solve_tasks_multi`` mega-batches — the 1-CPU/CI win the process pool
-  can never deliver.
+* **A serial in-process path.**  ``jobs=1`` plans (and plans nested
+  inside a fleet worker) run spec by spec in plan order over the same
+  persistent backend, so they reuse everything earlier runs cached.
 
 Everything cached is deterministic and content-addressed, so the engine
 preserves the executor's bit-identity contract at every jobs setting.
@@ -41,8 +39,7 @@ from repro.faults.engine import (
     active_injector,
 )
 from repro.lint import sanitizer as _san
-from repro.model.analytic import AnalyticBackend
-from repro.model.base import MemoizedBackend, PerformanceBackend
+from repro.model.base import MemoizedBackend
 from repro.parallel.plan import RunSpec
 from repro.parallel.stats import CacheStatsCapture, track_backend
 from repro.parallel.store import (
@@ -50,7 +47,6 @@ from repro.parallel.store import (
     SharedMeasurementCache,
     SharedStore,
 )
-from repro.parallel.vector import SolveRendezvous, run_gang
 
 __all__ = ["ENGINES", "FleetUnavailableError", "resolve_engine", "SharedEngine"]
 
@@ -168,11 +164,8 @@ class SharedEngine:
         self._remote = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
-        #: Diagnostics: runs served, vectorized gang batches fused.
+        #: Diagnostics: runs served.
         self.runs = 0
-        self.gang_batches = 0
-        self.gang_rows = 0
-        self.gang_max_width = 0
 
     # -- backends --------------------------------------------------------
     def backend(self) -> MemoizedBackend:
@@ -206,8 +199,9 @@ class SharedEngine:
         """Execute a validated plan; returns (results, cache-stat deltas).
 
         ``jobs > 1`` (with a multi-spec plan, outside a worker) uses the
-        persistent fleet; everything else takes the vectorized in-process
-        path.  Results are collated by spec key in plan order either way.
+        persistent fleet; everything else runs serially in-process.
+        Results are collated by spec key in plan order either way, and
+        the deltas line up with ``specs``, one per spec.
         ``faults`` (default: the installed global plan) injects engine
         failures; an unbuildable fleet surfaces as
         :class:`FleetUnavailableError` for the executor's ladder.
@@ -218,32 +212,21 @@ class SharedEngine:
         try:
             if jobs > 1 and len(specs) > 1 and not self._worker:
                 return self._run_fleet(specs, jobs, injector)
-            return self._run_vectorized(specs)
+            return self._run_serial(specs)
         finally:
             self._flush_store(injector)
 
-    def _run_vectorized(
-        self, specs: Sequence[RunSpec]
+    @staticmethod
+    def _run_serial(
+        specs: Sequence[RunSpec],
     ) -> tuple[dict[Hashable, Any], list[Optional[dict]]]:
-        backend = self.backend()
-        inner = backend.backend
-        assert isinstance(inner, SharedAnalyticBackend)
-
-        def _base_solve(tasks: list, outer_budget: Optional[int]) -> list:
-            # The un-intercepted cold solve: the gang leader must not
-            # re-enter the rendezvous it is draining.
-            return AnalyticBackend._solve_cold(
-                inner, tasks, outer_budget=outer_budget
-            )
-
-        rendezvous = SolveRendezvous(_base_solve)
-        with CacheStatsCapture() as capture:
-            results = run_gang(specs, rendezvous, attach_to=inner)
-        with self._lock:
-            self.gang_batches += rendezvous.batches
-            self.gang_rows += rendezvous.rows
-            self.gang_max_width = max(self.gang_max_width, rendezvous.max_width)
-        return results, [capture.delta()]
+        results: dict[Hashable, Any] = {}
+        parts: list[Optional[dict]] = []
+        for spec in specs:
+            with CacheStatsCapture() as capture:
+                results[spec.key] = spec.execute()
+            parts.append(capture.delta())
+        return results, parts
 
     def _run_fleet(
         self,
@@ -374,9 +357,6 @@ class SharedEngine:
         out = {
             "runs": float(self.runs),
             "pool_workers": float(self._pool_workers),
-            "gang_batches": float(self.gang_batches),
-            "gang_rows": float(self.gang_rows),
-            "gang_max_width": float(self.gang_max_width),
         }
         out.update({f"store_{k}": v for k, v in sorted(self.store.stats().items())})
         if self.persistence is not None:

@@ -10,11 +10,10 @@ addressed caches only) and results are collated by key in plan order:
   debugging/CI baseline.
 * ``process`` — in-process when ``jobs=1`` or the plan has one spec,
   otherwise a per-run :class:`concurrent.futures.ProcessPoolExecutor`
-  (PR 1's engine, now with an explicit ``chunksize`` and, where the
-  platform supports it, ``max_tasks_per_child``).
+  (PR 1's engine, now with an explicit ``chunksize``).
 * ``shared`` — the persistent :class:`~repro.parallel.engine.SharedEngine`:
   a worker fleet reused across runs over a cross-process shared cache,
-  and a gang-scheduled vectorized path at ``jobs=1``.
+  and a serial in-process path over the same caches at ``jobs=1``.
 
 Whatever the engine, every spec runs inside a
 :class:`~repro.parallel.stats.CacheStatsCapture`, and the merged counter
@@ -26,7 +25,6 @@ instead of the parent's empty counters.
 from __future__ import annotations
 
 import os
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Hashable, Optional, Sequence
@@ -63,23 +61,6 @@ def plan_chunksize(num_specs: int, workers: int) -> int:
     return max(1, num_specs // (workers * 4))
 
 
-def _max_tasks_per_child_kwargs(limit: Optional[int]) -> dict[str, int]:
-    """``max_tasks_per_child`` kwargs, where the platform supports them.
-
-    The knob (recycle a worker after N tasks, bounding leak accumulation)
-    exists from Python 3.11 and only with the spawn/forkserver start
-    methods; on fork (the Linux default) the stdlib raises, so the knob
-    is silently dropped there rather than made load-bearing.
-    """
-    if limit is None or sys.version_info < (3, 11):
-        return {}
-    import multiprocessing
-
-    if multiprocessing.get_start_method(allow_none=True) == "fork":
-        return {}
-    return {"max_tasks_per_child": limit}
-
-
 def _execute(spec: RunSpec) -> tuple[Hashable, Any, Optional[dict], list]:
     """Worker entry point: one spec plus its cache-counter delta.
 
@@ -99,7 +80,6 @@ class ParallelExecutor:
         self,
         jobs: Optional[int] = 1,
         engine: Optional[str] = None,
-        max_tasks_per_child: Optional[int] = None,
         journal=None,
         faults: Optional[EngineFaultInjector] = None,
     ) -> None:
@@ -107,7 +87,6 @@ class ParallelExecutor:
 
         self.jobs = resolve_jobs(jobs)
         self.engine = resolve_engine(engine)
-        self.max_tasks_per_child = max_tasks_per_child
         #: Optional :class:`~repro.durability.journal.ExperimentJournal`:
         #: completed specs are served from it and fresh results are
         #: committed to it as they stream in.
@@ -201,14 +180,8 @@ class ParallelExecutor:
         results, parts = SharedEngine.instance().run(
             pending, self.jobs, faults=self.faults
         )
-        aligned = parts if len(parts) == len(pending) else None
-        for i, spec in enumerate(pending):
-            commit(spec.key, results[spec.key], aligned[i] if aligned else None)
-        if aligned is None:
-            # The vectorized gang path captures one aggregate delta for
-            # the whole plan; keep it for cache_stats (journal records
-            # carry None — replaying them cannot re-split the aggregate).
-            self._stats_parts.extend(parts)
+        for spec, delta in zip(pending, parts):
+            commit(spec.key, results[spec.key], delta)
 
     def _run_pool(
         self,
@@ -220,10 +193,7 @@ class ParallelExecutor:
             raise FleetUnavailableError("injected process-pool build failure")
         workers = min(self.jobs, len(pending))
         verdict = injector.on_pool_run() if injector is not None else None
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            **_max_tasks_per_child_kwargs(self.max_tasks_per_child),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             if verdict == "kill":
                 # This engine has no rebuild (the pool is per-run); a
                 # killed worker drops the run to the inline rung.

@@ -45,7 +45,6 @@ def _prefetch_chunk(
     damping: float,
     tol: float,
     cache_size: int,
-    outer_budget: Optional[int],
 ):
     """Worker entry point: solve one frontier chunk on a fresh backend.
 
@@ -59,7 +58,6 @@ def _prefetch_chunk(
         damping=damping,
         tol=tol,
         solution_cache_size=cache_size,
-        prefetch_outer_budget=outer_budget,
     )
     try:
         backend.prefetch_configs(scenario, configurations)
@@ -107,7 +105,6 @@ def prefetch_frontier(
                 damping=inner.damping,
                 tol=inner.tol,
                 cache_size=inner.solution_cache_size,
-                outer_budget=inner.prefetch_outer_budget,
             ),
         )
         for i, chunk in enumerate(chunks)

@@ -6,7 +6,7 @@ execution engine:
 * the analytic backend's solution memo (``("sol", key)`` entries), and
 * the measurement memo (``("meas", key)`` entries).
 
-It starts as a plain in-process dict (the ``jobs=1`` vectorized engine
+It starts as a plain in-process dict (the serial ``jobs=1`` engine path
 needs no IPC) and is :meth:`attach`-ed to a ``multiprocessing.Manager``
 dict proxy the moment a worker fleet spins up — existing entries migrate,
 so warm-up work done serially seeds the fleet.  Every key is one of the
@@ -25,8 +25,7 @@ store-aware drop-ins for :class:`~repro.model.base.MeasurementCache` and
 :class:`~repro.model.analytic.AnalyticBackend`.  Both keep their inherited
 in-process structures as an L1 (no IPC on repeat lookups) and fall back to
 the store as an L2, absorbing L2 hits into L1.  Both are additionally
-thread-safe, because the vectorized engine path runs many specs as
-threads over *one* backend.
+thread-safe: every L1 access holds the instance's lock.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from __future__ import annotations
 import threading
 from typing import Mapping, MutableMapping, Optional, Sequence
 
-from repro.cluster.context import WorkloadContext
-from repro.cluster.topology import ClusterSpec
 from repro.harmony.parameter import Configuration
 from repro.lint import sanitizer as _san
 from repro.model.analytic import AnalyticBackend, AnalyticSolution
@@ -185,8 +182,8 @@ class SharedMeasurementCache(MeasurementCache):
 
     L1 is the inherited in-process LRU; an L1 miss consults the store and
     absorbs any hit locally (counted as a hit *and* a ``shared_hit``).
-    Stores publish to both levels.  Thread-safe: the vectorized engine
-    drives one instance from many spec threads.
+    Stores publish to both levels.  Thread-safe: L1 reads and writes
+    hold the cache lock.
     """
 
     def __init__(
@@ -261,11 +258,7 @@ class SharedAnalyticBackend(AnalyticBackend):
 
     The inherited per-process LRU stays as L1; misses consult the shared
     store and absorb hits (counted as solution ``shared_hits``).  Puts
-    publish to both levels.  All memo accesses are lock-protected so the
-    vectorized engine can run spec threads over one instance, and
-    :meth:`_solve_cold` defers to an attached
-    :class:`~repro.parallel.vector.SolveRendezvous` so cold solves from
-    concurrent specs fuse into one mega-batch.
+    publish to both levels.  All memo accesses are lock-protected.
     """
 
     def __init__(self, store: SharedStore, **kwargs: object) -> None:
@@ -274,8 +267,6 @@ class SharedAnalyticBackend(AnalyticBackend):
         self._memo_lock = _san.wrap_lock(
             "SharedAnalyticBackend._memo_lock", threading.RLock()
         )
-        #: Set (and cleared) by the vectorized engine around a gang run.
-        self._rendezvous = None
 
     # -- memo: L1 (inherited, locked) over L2 (store) -------------------
     def _solution_get(self, key: tuple) -> Optional[AnalyticSolution]:
@@ -329,16 +320,3 @@ class SharedAnalyticBackend(AnalyticBackend):
         # visible to the whole fleet, not just this process.
         with self._memo_lock:
             return super().absorb_solutions(items)
-
-    # -- cold solves: fuse across concurrent specs ----------------------
-    def _solve_cold(
-        self,
-        tasks: Sequence[
-            tuple[ClusterSpec, Mapping[str, int], int, WorkloadContext, float]
-        ],
-        outer_budget: Optional[int] = None,
-    ) -> list[Optional[AnalyticSolution]]:
-        rendezvous = self._rendezvous
-        if rendezvous is not None and rendezvous.participating():
-            return rendezvous.solve(list(tasks), outer_budget)
-        return super()._solve_cold(tasks, outer_budget=outer_budget)

@@ -2,7 +2,7 @@
 
 The CI sanitize job runs the parallel/shared-engine suites with
 ``REPRO_SANITIZE=1``, which makes the ``repro.parallel`` hot objects
-construct tracked locks and run the RPL151–RPL154 checks while the
+construct tracked locks and run the RPL151–RPL153 checks while the
 ordinary tests exercise them.  Any finding still recorded when the
 session ends is a real race/determinism bug in the instrumented code:
 tests that *inject* violations on purpose do so inside

@@ -42,6 +42,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.resilience import ResiliencePolicy
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import MemoizedBackend, Scenario
+from repro.parallel.engine import SharedEngine
 from repro.parallel.executor import ParallelExecutor
 from repro.parallel.plan import RunSpec
 from repro.tpcw.interactions import STANDARD_MIXES
@@ -280,26 +281,44 @@ class TestExperimentResume:
     def reference(self, reduced):
         return json.dumps(fig4.run(reduced).canonical_dict(), sort_keys=True)
 
-    def test_full_journal_then_resume(self, tmp_path, reduced, reference):
-        path = tmp_path / "fig4.journal"
-        journaled = fig4.run(
-            ExperimentConfig(
-                iterations=reduced.iterations,
-                baseline_iterations=reduced.baseline_iterations,
-                journal=str(path),
-            )
+    @staticmethod
+    def _journal_then_resume(path, reduced, reference, **engine):
+        """Run fig4 with a full journal, resume from it, check both runs.
+
+        A resumed run serves every spec from the journal, value and
+        cache-counter delta alike, so it must report the same results
+        and the same cache counters as the run that wrote the journal.
+        """
+        config = dict(
+            iterations=reduced.iterations,
+            baseline_iterations=reduced.baseline_iterations,
+            journal=str(path),
+            **engine,
         )
+        journaled = fig4.run(ExperimentConfig(**config))
         assert json.dumps(journaled.canonical_dict(), sort_keys=True) == reference
 
-        resumed = fig4.run(
-            ExperimentConfig(
-                iterations=reduced.iterations,
-                baseline_iterations=reduced.baseline_iterations,
-                journal=str(path),
-                resume=True,
-            )
-        )
+        resumed = fig4.run(ExperimentConfig(**config, resume=True))
         assert json.dumps(resumed.canonical_dict(), sort_keys=True) == reference
+        assert resumed.cache_stats == journaled.cache_stats
+
+    def test_full_journal_then_resume(self, tmp_path, reduced, reference):
+        self._journal_then_resume(tmp_path / "fig4.journal", reduced, reference)
+
+    def test_full_journal_then_resume_shared_jobs1(
+        self, tmp_path, reduced, reference
+    ):
+        SharedEngine.reset()
+        try:
+            self._journal_then_resume(
+                tmp_path / "fig4.journal",
+                reduced,
+                reference,
+                engine="shared",
+                jobs=1,
+            )
+        finally:
+            SharedEngine.reset()
 
     def test_truncated_journal_resume(self, tmp_path, reduced, reference):
         """A journal cut mid-frame (the on-disk state of a SIGKILL during

@@ -24,7 +24,7 @@ def test_lint_rules_listing(capsys):
                     "RPL105", "RPL106", "RPL107", "RPL108"):
         assert rule_id in out
     # The runtime sanitizer family is listed alongside the static rules.
-    for rule_id in ("RPL151", "RPL152", "RPL153", "RPL154"):
+    for rule_id in ("RPL151", "RPL152", "RPL153"):
         assert rule_id in out
 
 

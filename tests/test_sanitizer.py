@@ -1,4 +1,4 @@
-"""Unit tests for the runtime concurrency sanitizer (RPL151–RPL154).
+"""Unit tests for the runtime concurrency sanitizer (RPL151–RPL153).
 
 Every deliberate violation is injected inside ``sanitizer.scope()``,
 which force-activates the sanitizer with isolated state — so these
@@ -199,36 +199,6 @@ def test_shared_store_put_divergence_reports():
 
 
 # ----------------------------------------------------------------------
-# RPL154 — fused-vs-solo fingerprint
-# ----------------------------------------------------------------------
-def _double(tasks, outer_budget):
-    return [t * 2 for t in tasks]
-
-
-def test_check_fused_clean_when_slices_match():
-    with san.scope() as captured:
-        san.check_fused(_double, [([1, 2], [2, 4]), ([3], [6])], None)
-    assert captured == []
-
-
-def test_check_fused_reports_divergent_group():
-    with san.scope() as captured:
-        san.check_fused(_double, [([1, 2], [2, 4]), ([3], [7])], None)
-    assert rules_of(captured) == ["RPL154"]
-    assert "group 1" in captured[0].message
-
-
-def test_check_fused_reports_solo_failure():
-    def boom(tasks, outer_budget):
-        raise ValueError("solver exploded")
-
-    with san.scope() as captured:
-        san.check_fused(boom, [([1], [1])], None)
-    assert rules_of(captured) == ["RPL154"]
-    assert "raised" in captured[0].message
-
-
-# ----------------------------------------------------------------------
 # TrackedLock as a Condition lock
 # ----------------------------------------------------------------------
 def test_condition_wait_releases_and_reacquires_tracked_lock():
@@ -279,64 +249,6 @@ def test_clean_store_traffic_has_no_findings():
         for i in range(8):
             store.put(("sol", i), i * i)  # idempotent republish
     assert captured == []
-
-
-# ----------------------------------------------------------------------
-# Rendezvous integration: RPL154 on real fused gang batches
-# ----------------------------------------------------------------------
-def _mini_gang(rendezvous, work):
-    """Run ``work`` callables as registered gang member threads."""
-    out: dict = {}
-
-    def drive(i, fn):
-        try:
-            out[i] = fn()
-        finally:
-            rendezvous.leave()
-
-    threads = [
-        threading.Thread(target=drive, args=(i, fn), daemon=True)
-        for i, fn in enumerate(work)
-    ]
-    for thread in threads:
-        rendezvous.register(thread)
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=30)
-    assert not any(t.is_alive() for t in threads)
-    return out
-
-
-def test_rendezvous_fused_check_clean_for_deterministic_solver():
-    from repro.parallel.vector import SolveRendezvous
-
-    with san.scope() as captured:
-        rv = SolveRendezvous(
-            lambda tasks, budget: [("solved", task) for task in tasks]
-        )
-        out = _mini_gang(
-            rv, [lambda k=k: rv.solve([("task", k)]) for k in range(3)]
-        )
-    assert out == {k: [("solved", ("task", k))] for k in range(3)}
-    assert captured == []
-
-
-def test_rendezvous_fused_check_catches_stateful_solver():
-    from repro.parallel.vector import SolveRendezvous
-
-    ticks = iter(range(100))
-
-    def stateful(tasks, budget):
-        # Result depends on call order — exactly the kind of hidden
-        # state that breaks the fused/solo bit-identity contract.
-        tick = next(ticks)
-        return [("solved", task, tick) for task in tasks]
-
-    with san.scope() as captured:
-        rv = SolveRendezvous(stateful)
-        _mini_gang(rv, [lambda k=k: rv.solve([("task", k)]) for k in range(2)])
-    assert "RPL154" in rules_of(captured)
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""The shared execution engine: equivalence matrix, store, and gang tests.
+"""The shared execution engine: equivalence matrix and store tests.
 
 The engine axis contract is the same as ``--jobs``: ``--engine`` changes
 wall-clock time and cache topology, never numbers.  The matrix test here
 is this PR's hard acceptance — one reduced Figure-4 workload serialized
 to byte-identical JSON at every (engine, jobs) setting — plus DES-backed
-plan equivalence, shared-store concurrency, and the vectorized gang.
+plan equivalence and shared-store concurrency.
 """
 
 import json
@@ -27,8 +27,6 @@ from repro.parallel import (
     plan_chunksize,
     resolve_engine,
 )
-from repro.parallel.executor import _max_tasks_per_child_kwargs
-from repro.parallel.vector import SolveRendezvous, run_gang
 from repro.tpcw.interactions import SHOPPING_MIX, STANDARD_MIXES
 from repro.tuning.session import ClusterTuningSession
 from repro.util.rng import derive_seed
@@ -126,14 +124,6 @@ class TestEngineAxis:
         assert plan_chunksize(64, 2) == 8
         assert plan_chunksize(100, 4) == 6
 
-    def test_max_tasks_per_child_dropped_on_fork(self):
-        assert _max_tasks_per_child_kwargs(None) == {}
-        kwargs = _max_tasks_per_child_kwargs(10)
-        if multiprocessing.get_start_method(allow_none=True) == "fork":
-            assert kwargs == {}
-        else:
-            assert kwargs in ({}, {"max_tasks_per_child": 10})
-
 
 class TestEquivalenceMatrix:
     """Results bit-identical at every (engine, jobs) setting."""
@@ -187,18 +177,8 @@ class TestEquivalenceMatrix:
 class TestSharedCacheTopology:
     """Cross-run and cross-worker cache behavior of the shared engine."""
 
-    def test_vectorized_gang_fuses_cold_solves(self, fresh_engine):
-        fig4.run(
-            ExperimentConfig(
-                iterations=6, baseline_iterations=2, engine="shared", jobs=1
-            )
-        )
-        stats = SharedEngine.instance().stats()
-        assert stats["gang_batches"] >= 1
-        assert stats["gang_max_width"] >= 2  # cross-spec fusion happened
-
     def test_fleet_workers_hit_migrated_store(self, fresh_engine):
-        # Warm the store on the vectorized path (local dict)...
+        # Warm the store on the serial path (local dict)...
         warm = ParallelExecutor(jobs=1, engine="shared")
         warm.run([RunSpec(key="warm", fn=shared_measure, kwargs={"tag": -1})])
         # ...then spin up the fleet: attach migrates local entries, so every
@@ -342,113 +322,3 @@ class TestSharedStore:
         finally:
             manager.shutdown()
 
-
-def _record_solve(batches):
-    def solve(tasks, outer_budget):
-        batches.append((len(tasks), outer_budget))
-        return [("solved", task) for task in tasks]
-
-    return solve
-
-
-class TestSolveRendezvous:
-    @pytest.fixture(autouse=True)
-    def _sanitizer_off(self, monkeypatch):
-        # These tests assert exact solve-call batching.  The runtime
-        # sanitizer's RPL154 check deliberately re-solves every fused
-        # group solo (its documented ~2x overhead), which would skew the
-        # counts; the rendezvous+sanitizer interaction has its own tests
-        # in test_sanitizer.py.
-        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-
-    def _gang(self, rendezvous, work):
-        """Run ``work`` callables as registered gang member threads."""
-        out: dict = {}
-
-        def drive(i, fn):
-            try:
-                out[i] = fn()
-            except BaseException as exc:
-                out[i] = exc
-            finally:
-                rendezvous.leave()
-
-        threads = [
-            threading.Thread(target=drive, args=(i, fn), daemon=True)
-            for i, fn in enumerate(work)
-        ]
-        for t in threads:
-            rendezvous.register(t)
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        return out
-
-    def test_fuses_concurrent_solves(self):
-        batches: list = []
-        rv = SolveRendezvous(_record_solve(batches))
-        out = self._gang(
-            rv, [lambda k=k: rv.solve([("task", k)]) for k in range(3)]
-        )
-        assert out == {k: [("solved", ("task", k))] for k in range(3)}
-        assert batches == [(3, None)]  # one fused batch of width 3
-        assert (rv.batches, rv.rows, rv.max_width) == (1, 3, 3)
-
-    def test_groups_by_outer_budget(self):
-        batches: list = []
-        rv = SolveRendezvous(_record_solve(batches))
-        out = self._gang(
-            rv,
-            [
-                lambda: rv.solve([("a",)], outer_budget=None),
-                lambda: rv.solve([("b",)], outer_budget=4),
-                lambda: rv.solve([("c",)], outer_budget=4),
-            ],
-        )
-        assert sorted(width for width, _ in batches) == [1, 2]
-        assert out[1] == [("solved", ("b",))]
-
-    def test_fused_failure_falls_back_per_group(self):
-        calls: list = []
-
-        def fragile(tasks, outer_budget):
-            calls.append(len(tasks))
-            if len(tasks) > 1:
-                raise RuntimeError("fused batch too wide")
-            return [("solved", task) for task in tasks]
-
-        rv = SolveRendezvous(fragile)
-        out = self._gang(
-            rv, [lambda k=k: rv.solve([("task", k)]) for k in range(2)]
-        )
-        assert calls[0] == 2  # the fused attempt...
-        assert sorted(calls[1:]) == [1, 1]  # ...re-solved per pending
-        assert out == {k: [("solved", ("task", k))] for k in range(2)}
-
-    def test_departed_members_do_not_block(self):
-        batches: list = []
-        rv = SolveRendezvous(_record_solve(batches))
-        out = self._gang(
-            rv,
-            [
-                lambda: "no solve needed",
-                lambda: rv.solve([("only",)]),
-            ],
-        )
-        assert out[0] == "no solve needed"
-        assert out[1] == [("solved", ("only",))]
-
-    def test_run_gang_matches_serial_and_restores_hook(self):
-        class Host:
-            _rendezvous = "sentinel"
-
-        host = Host()
-        specs = [
-            RunSpec(key=("g", s), fn=des_probe, kwargs={"seed": s})
-            for s in (1, 2)
-        ]
-        serial = {spec.key: spec.execute() for spec in specs}
-        rv = SolveRendezvous(_record_solve([]))
-        assert run_gang(specs, rv, attach_to=host) == serial
-        assert host._rendezvous == "sentinel"  # save/restore, not clobber
