@@ -4,8 +4,9 @@ Three arms over the same workloads:
 
 * **serial** — the pre-engine path: one process, no memoization, every
   measurement point solved with its own scalar MVA fixed point.
-* **parallel** — ``--jobs 4`` through the run-plan engine with
-  measurement memoization on (what the CLI default does).
+* **parallel** — ``--jobs 4`` through the run-plan engine (which
+  resolves to the shared fleet) with measurement memoization on (what
+  the CLI default does).
 * **batched** — one process with the full cache + batched-MVA stack (the
   ``--jobs 1`` default), isolating the single-core gains.
 
@@ -32,6 +33,7 @@ from repro.experiments import fig4
 from repro.experiments.runner import ExperimentConfig
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import Scenario
+from repro.parallel import SharedEngine
 from repro.tpcw.interactions import SHOPPING_MIX
 from repro.util.serialization import atomic_write_json
 
@@ -84,6 +86,7 @@ def _timed_sweep(serial_backend: bool):
 def test_parallel_engine_speedups(report):
     t_serial, r_serial = _timed_fig4(jobs=1, memoize=False, serial_backend=True)
     t_parallel, r_parallel = _timed_fig4(jobs=4, memoize=True, serial_backend=False)
+    SharedEngine.reset()  # release the fleet before the serial arms
     t_batched, r_batched = _timed_fig4(jobs=1, memoize=True, serial_backend=False)
 
     # Hard constraint: the fast paths change wall-clock only, never numbers.
@@ -114,7 +117,7 @@ def test_parallel_engine_speedups(report):
         "schema": "bench_parallel/v2",
         "description": (
             "Reduced Fig-4 matrix + sensitivity sweep: serial no-cache "
-            "baseline vs the --jobs 4 process pool vs the single-process "
+            "baseline vs the --jobs 4 shared fleet vs the single-process "
             "cache+batched-MVA stack.  All arms bit-identical (asserted)."
         ),
         "host_cpus": host_cpus,
@@ -124,12 +127,13 @@ def test_parallel_engine_speedups(report):
             "parallel_jobs4_seconds": round(t_parallel, 3),
             "batched_jobs1_seconds": round(t_batched, 3),
             "parallel_jobs": 4,
+            "parallel_engine": "shared",
             "parallel_effective_workers": min(4, host_cpus),
             "oversubscribed": oversubscribed,
             "speedup_provenance": (
                 "parallel_speedup mixes process fan-out with the "
                 "memoization+batching the engine path enables; on this "
-                f"{host_cpus}-CPU host the pool adds no real concurrency "
+                f"{host_cpus}-CPU host the fleet adds no real concurrency "
                 "and the caches carry the number"
                 if oversubscribed
                 else "parallel_speedup combines process fan-out "

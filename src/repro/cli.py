@@ -28,6 +28,7 @@ from repro.cluster.topology import ClusterSpec
 from repro.durability.journal import JournalError
 from repro.model.analytic import APPROXIMATIONS, AnalyticBackend
 from repro.model.base import Scenario
+from repro.parallel.engine import ENGINES
 from repro.tpcw.interactions import STANDARD_MIXES
 from repro.util.units import parse_count
 
@@ -38,9 +39,8 @@ EXPERIMENTS = (
     "drift", "price", "chaos", "scale",
 )
 
-#: Experiments whose run plans fan out over many independent runs; these
-#: default to the persistent shared engine when ``--jobs`` exceeds one
-#: (``--engine process`` stays available as the explicit opt-out).
+#: Experiments whose run plans fan out over many independent runs (the
+#: ones ``--journal``/``--resume`` support).
 FANOUT_EXPERIMENTS = frozenset({"fig4", "table4", "sensitivity", "scale"})
 
 
@@ -218,12 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument(
-        "--engine", choices=("inline", "process", "shared"), default="process",
+        "--engine", choices=ENGINES, default=None,
         help=(
             "execution engine for speculative prefetch fan-out: inline "
-            "(serial), process (per-run pool), or shared (persistent "
-            "worker fleet + cross-run shared cache); results are "
-            "bit-identical at every setting"
+            "(serial) or shared (persistent worker fleet + cross-run "
+            "shared cache).  Default: shared when jobs > 1, inline "
+            "otherwise; results are bit-identical at every setting"
         ),
     )
     p.add_argument(
@@ -268,15 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable measurement memoization (results are identical)",
     )
     p.add_argument(
-        "--engine", choices=("inline", "process", "shared"), default=None,
+        "--engine", choices=ENGINES, default=None,
         help=(
-            "execution engine for the run plan: inline (serial in-process), "
-            "process (per-run worker pool), or shared (one persistent "
-            "worker fleet reused across experiments over a cross-process "
-            "shared cache; jobs=1 runs serially in-process over it). "
-            "Default: shared for the fan-out drivers (fig4, table4, "
-            "sensitivity, scale) when jobs > 1, process otherwise; "
-            "results are bit-identical at every setting"
+            "execution engine for the run plan: inline (serial in-process) "
+            "or shared (one persistent worker fleet reused across "
+            "experiments over a cross-process shared cache; jobs=1 runs "
+            "serially in-process over it).  Default: shared when "
+            "jobs > 1, inline otherwise; results are bit-identical at "
+            "every setting"
         ),
     )
     p.add_argument(
@@ -496,21 +495,6 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _resolve_engine(name: str, engine: Optional[str], jobs: int) -> str:
-    """Pick the experiment engine when ``--engine`` was not given.
-
-    Fan-out drivers (many independent runs sharing a measurement space)
-    default to the persistent shared engine whenever more than one worker
-    is in play; everything else keeps the per-run process pool.  An
-    explicit ``--engine`` always wins.
-    """
-    if engine is not None:
-        return engine
-    if name in FANOUT_EXPERIMENTS and jobs > 1:
-        return "shared"
-    return "process"
-
-
 def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import ExperimentConfig
     from repro.parallel import resolve_jobs
@@ -532,7 +516,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         memoize=not args.no_cache,
         speculate=args.speculate,
         profile=getattr(args, "profile", False),
-        engine=_resolve_engine(args.name, args.engine, jobs),
+        engine=args.engine,
         journal=args.resume or args.journal,
         resume=bool(args.resume),
     )

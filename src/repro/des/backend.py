@@ -13,8 +13,9 @@ for tests while collecting thousands of interactions.
 
 Performance layers (all default-on, all bit-identical to the seed DES):
 
-* the kernel fast path (:mod:`repro.sim.core`) — service/think delays are
-  bare-float yields dispatched as resume records, not ``Timeout`` events;
+* the lean event kernel (:mod:`repro.sim.core`) — service/think delays
+  are bare-float yields dispatched as resume records, not ``Timeout``
+  events;
 * per-browser :class:`~repro.util.rng.BlockSampler` streams — uniform and
   exponential draws are served from pre-drawn blocks where stream-stable
   (the load balancer's bounded ``integers`` draw stays scalar);
@@ -245,7 +246,6 @@ class SimulationBackend(PerformanceBackend):
         replications: int = 1,
         replication_jobs: Optional[int] = None,
         profile: bool = False,
-        legacy_kernel: Optional[bool] = None,
     ) -> None:
         """``navigation=True`` makes each emulated browser follow the TPC-W
         navigation graph (correlated sessions) instead of sampling
@@ -257,9 +257,7 @@ class SimulationBackend(PerformanceBackend):
         bounds the process fan-out (1 forces the serial in-process loop,
         which is bit-identical to the parallel merge).  ``profile=True``
         adds ``profile.*`` diagnostics (event counts, RNG draw mix,
-        per-phase wall-clock).  ``legacy_kernel=True`` forces the seed
-        kernel's dispatch path (the bench baseline); the default follows
-        ``REPRO_DES_LEGACY``."""
+        per-phase wall-clock)."""
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         if replications < 1:
@@ -273,9 +271,6 @@ class SimulationBackend(PerformanceBackend):
         self.replications = int(replications)
         self.replication_jobs = replication_jobs
         self.profile = profile
-        self.legacy_kernel = legacy_kernel
-        #: Environment ``fast`` argument (None = honour REPRO_DES_LEGACY).
-        self._env_fast = None if legacy_kernel is None else not legacy_kernel
         #: Constructor kwargs a replication worker rebuilds from (one
         #: replication each, so ``replications`` is deliberately absent).
         self._init_kwargs = dict(
@@ -284,7 +279,6 @@ class SimulationBackend(PerformanceBackend):
             memory=self.memory,
             navigation=navigation,
             profile=profile,
-            legacy_kernel=legacy_kernel,
         )
         self._context_cache: dict[tuple, WorkloadContext] = {}
         self._nav_cache: dict[str, NavigationModel] = {}
@@ -435,7 +429,7 @@ class SimulationBackend(PerformanceBackend):
             jobs = self.replication_jobs or min(
                 len(seeds), os.cpu_count() or 1
             )
-            executor = ParallelExecutor(jobs=jobs, engine="process")
+            executor = ParallelExecutor(jobs=jobs)
             try:
                 out = executor.run(
                     [
@@ -467,7 +461,7 @@ class SimulationBackend(PerformanceBackend):
         profiling = self.profile
         t0 = _clock() if profiling else 0.0
         ctx = self._context(scenario)
-        env = Environment(fast=self._env_fast)
+        env = Environment()
         sim = _SimCluster(
             env,
             scenario.cluster,
@@ -478,8 +472,6 @@ class SimulationBackend(PerformanceBackend):
         )
         rngs = RngFactory(seed).child("des")
         sampler = MixSampler(scenario.mix)
-        wrap = env.fast  # block-sample only on the fast path (the legacy
-        # path is the pre-PR reference, raw scalar generators included)
         samplers: list[BlockSampler] = []
 
         lines = sorted(sim.lines)
@@ -492,15 +484,13 @@ class SimulationBackend(PerformanceBackend):
         for li, line in enumerate(lines):
             count = share + (1 if li < remainder else 0)
             for b in range(count):
-                rng: RandomSource = rngs.get("browser", line, b)
-                if wrap:
-                    # min_run=0: site-directed blocks only.  Browser
-                    # streams interleave uniform and exponential draws
-                    # every few calls, so the auto-fill heuristic would
-                    # thrash (fill 1024, serve a handful, rewind).
-                    rng = BlockSampler(rng, min_run=0)
-                    if profiling:
-                        samplers.append(rng)
+                # min_run=0: site-directed blocks only.  Browser streams
+                # interleave uniform and exponential draws every few
+                # calls, so the auto-fill heuristic would thrash (fill
+                # 1024, serve a handful, rewind).
+                rng = BlockSampler(rngs.get("browser", line, b), min_run=0)
+                if profiling:
+                    samplers.append(rng)
                 env.process(
                     self._browser(
                         sim, line, scenario, sampler, rng,

@@ -81,7 +81,7 @@ class NodeSim:
         req = self.cpu.acquire()
         yield req
         try:
-            # A bare float yield is a delay (kernel fast path): no
+            # A bare float yield is a delay (a kernel resume record): no
             # Timeout object on the dominant service-time pattern.
             yield self._sample(rng, mean_seconds)
         finally:

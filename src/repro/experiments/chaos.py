@@ -25,7 +25,7 @@ repeated under a write-ahead journal and killed at iteration *k*; a
 bit for bit.  Alongside it, a durable-store segment write is torn
 mid-blob (the reload must quarantine it, never serve a bad entry) and a
 fleet build is made to fail so the executor walks the degradation
-ladder shared → process → inline.  Cluster faults break measurements;
+ladder shared → inline.  Cluster faults break measurements;
 engine faults break the machinery that runs them — the report shows
 both layers side by side.
 
@@ -371,10 +371,10 @@ def _engine_arm(
         # Durable store under a torn write: the second segment flush is
         # truncated mid-blob; the reload must quarantine it — drop and
         # count the bad entry, never serve it — while the intact first
-        # segment survives.  The same injector then fails two fleet
-        # builds, so the executor walks shared → process → inline.
+        # segment survives.  The same injector then fails the fleet
+        # build, so the executor walks shared → inline.
         injector = EngineFaultInjector(
-            EngineFaultPlan(build_failures=2, torn_store_writes=(2,))
+            EngineFaultPlan(build_failures=1, torn_store_writes=(2,))
         )
         persist = StorePersistence(os.path.join(tmp, "store"), injector=injector)
         persist.flush({"alpha": 1.0})

@@ -8,6 +8,7 @@ from typing import Optional
 from repro.harmony.parameter import Configuration
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import MemoizedBackend, PerformanceBackend, Scenario
+from repro.parallel.engine import SharedEngine, resolve_engine
 from repro.parallel.stats import (
     collect_cache_stats,
     merge_cache_stats,
@@ -63,10 +64,11 @@ class ExperimentConfig:
     #: and results are bit-identical either way.
     profile: bool = False
     #: Execution engine for the run plan (the ``--engine`` axis):
-    #: ``inline`` (serial in-process), ``process`` (per-run pool, the
-    #: default) or ``shared`` (persistent fleet + cross-run shared cache).
-    #: Results are bit-identical at every setting.
-    engine: str = "process"
+    #: ``inline`` (serial in-process) or ``shared`` (persistent fleet +
+    #: cross-run shared cache); None picks ``shared`` when ``jobs > 1``
+    #: and ``inline`` otherwise.  Results are bit-identical at every
+    #: setting.
+    engine: Optional[str] = None
     #: Write-ahead journal path for the fan-out drivers (``--journal``).
     #: Completed run specs are committed as they finish; None disables.
     journal: Optional[str] = None
@@ -108,10 +110,10 @@ def make_backend(config: Optional[ExperimentConfig] = None) -> PerformanceBacken
     Cached results are bit-identical to fresh ones, so this changes only
     wall-clock time, never numbers.
 
-    With ``engine="shared"`` the invocation's persistent
-    :class:`~repro.parallel.engine.SharedEngine` backend is returned
-    instead of a fresh one: its caches are thread-safe, backed by the
-    cross-process shared store, and survive across experiments.  (Inside
+    When the config's engine resolves to ``shared`` the invocation's
+    persistent :class:`~repro.parallel.engine.SharedEngine` backend is
+    returned instead of a fresh one: its caches are thread-safe, backed by
+    the cross-process shared store, and survive across experiments.  (Inside
     a fleet worker this resolves to the worker's own persistent backend —
     the worker engine singleton — so spec functions can call this
     unconditionally.)
@@ -123,9 +125,10 @@ def make_backend(config: Optional[ExperimentConfig] = None) -> PerformanceBacken
     if config is not None and not config.memoize:
         # The true uncached path: no measurement memo, no solution memo.
         return track_backend(AnalyticBackend(solution_cache_size=0))
-    if config is not None and config.engine == "shared":
-        from repro.parallel.engine import SharedEngine
-
+    if (
+        config is not None
+        and resolve_engine(config.engine, config.jobs) == "shared"
+    ):
         return SharedEngine.instance().backend()
     return track_backend(MemoizedBackend(AnalyticBackend()))
 

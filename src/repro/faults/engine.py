@@ -13,9 +13,9 @@ The responses under test form the degradation ladder:
 
 * a killed worker ⇒ the shared fleet tears down, rebuilds, and retries
   the plan once (specs are idempotent, so a re-run is safe);
-* a fleet that cannot be (re)built ⇒ :class:`FleetUnavailableError`, and
+* a fleet that cannot be (re)built, or breaks again after its rebuild ⇒
   :class:`~repro.parallel.executor.ParallelExecutor` degrades
-  shared → process → inline rather than aborting the run;
+  shared → inline rather than aborting the run;
 * a slow worker ⇒ the attempt is abandoned on the virtual timeline and
   the plan retried on the same fleet;
 * a torn segment write ⇒ the next load quarantines the damaged entries
@@ -44,7 +44,7 @@ __all__ = [
 
 
 class FleetUnavailableError(RuntimeError):
-    """A worker fleet (or process pool) could not be built or rebuilt.
+    """The worker fleet could not be built or rebuilt.
 
     The signal that drives the degradation ladder: callers catch this and
     fall back to the next-simpler engine instead of failing the run.
@@ -62,7 +62,7 @@ class EngineFaultPlan:
     #: Pooled runs whose first attempt dies as if a worker was killed
     #: (surfaces as BrokenProcessPool; the fleet rebuilds and retries).
     kill_worker_runs: tuple[int, ...] = ()
-    #: Number of initial fleet/pool build attempts that fail outright.
+    #: Number of initial fleet build attempts that fail outright.
     build_failures: int = 0
     #: Pooled runs whose first attempt stalls past the virtual deadline
     #: (abandoned and retried on the same fleet).
@@ -180,9 +180,9 @@ class EngineResilienceStats:
     fleet_rebuilds: int = 0
     #: Pooled-run attempts abandoned to a slow-worker virtual timeout.
     slow_timeouts: int = 0
-    #: Fleet/pool build attempts that failed.
+    #: Fleet build attempts that failed.
     build_failures: int = 0
-    #: Degradations taken, in order (e.g. "shared->process").
+    #: Degradations taken, in order (e.g. "shared->inline").
     degradations: list = field(default_factory=list)
     #: Store segments written torn by an injected crash.
     torn_writes: int = 0
@@ -218,7 +218,7 @@ class EngineFaultInjector:
 
     # -- decision points -------------------------------------------------
     def on_build(self) -> bool:
-        """Count a fleet/pool build attempt; True means it fails."""
+        """Count a fleet build attempt; True means it fails."""
         self._builds += 1
         if self._builds <= self.plan.build_failures:
             self.stats.build_failures += 1
@@ -250,7 +250,7 @@ class EngineFaultInjector:
         self.stats.fleet_rebuilds += 1
 
     def record_degradation(self, step: str) -> None:
-        """One rung of the ladder was taken (e.g. ``"shared->process"``)."""
+        """One rung of the ladder was taken (e.g. ``"shared->inline"``)."""
         self.stats.degradations.append(step)
 
 

@@ -6,10 +6,10 @@ collated into figures and tables.  This package expresses that structure
 explicitly: a :class:`~repro.parallel.plan.RunSpec` names one run and the
 picklable function that performs it, and a
 :class:`~repro.parallel.executor.ParallelExecutor` executes a batch of
-specs under one of three engines (the ``--engine`` axis):
+specs under one of two engines (the ``--engine`` axis; by default
+``inline`` at ``jobs=1`` and ``shared`` above):
 
 * ``inline`` — in-process, serial, ``jobs`` ignored;
-* ``process`` — a per-run :class:`concurrent.futures.ProcessPoolExecutor`;
 * ``shared`` — the persistent :class:`~repro.parallel.engine.SharedEngine`
   (a worker fleet reused across runs over a cross-process shared cache,
   with a serial in-process path over the same cache at ``jobs=1``).
@@ -21,12 +21,13 @@ results at every ``--engine``/``--jobs`` setting; only wall-clock time
 and cache hit rates change.
 """
 
-from repro.parallel.engine import ENGINES, SharedEngine, resolve_engine
-from repro.parallel.executor import (
-    ParallelExecutor,
+from repro.parallel.engine import (
+    ENGINES,
+    SharedEngine,
     plan_chunksize,
-    resolve_jobs,
+    resolve_engine,
 )
+from repro.parallel.executor import ParallelExecutor, resolve_jobs
 from repro.parallel.plan import RunSpec, run_specs
 from repro.parallel.stats import (
     CacheStatsCapture,

@@ -1,9 +1,7 @@
 """The persistent shared-cache execution engine (``--engine shared``).
 
-PR 1's process pool is born and dies inside every ``ParallelExecutor.run``
-call: each run pays pool spawn, each worker starts cache-cold, and
-whatever a worker learned is cremated with it.  This engine is the
-opposite life cycle — one :class:`SharedEngine` per CLI invocation:
+The only pooled engine.  One :class:`SharedEngine` lives for a whole CLI
+invocation, so pool spawn and cold caches are paid once, not per run:
 
 * **A worker fleet that outlives runs.**  The ``ProcessPoolExecutor`` is
   created on first pooled run and reused by every later run (grown, never
@@ -31,7 +29,7 @@ import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Hashable, Optional, Sequence
+from typing import Any, Hashable, Iterator, Optional, Sequence
 
 from repro.faults.engine import (
     EngineFaultInjector,
@@ -48,27 +46,59 @@ from repro.parallel.store import (
     SharedStore,
 )
 
-__all__ = ["ENGINES", "FleetUnavailableError", "resolve_engine", "SharedEngine"]
-
-
-class _SlowWorkerTimeout(Exception):
-    """Injected virtual slow-worker deadline; the attempt is abandoned."""
+__all__ = [
+    "ENGINES",
+    "FleetUnavailableError",
+    "plan_chunksize",
+    "resolve_engine",
+    "run_serial",
+    "SharedEngine",
+]
 
 #: The ``--engine`` axis.  ``inline`` = always in-process and serial
-#: (jobs is ignored), ``process`` = PR 1's per-run process pool,
-#: ``shared`` = this module's persistent fleet + shared cache.
-ENGINES = ("inline", "process", "shared")
+#: (jobs is ignored), ``shared`` = this module's persistent fleet +
+#: shared cache (serial in-process over the same cache at jobs=1).
+ENGINES = ("inline", "shared")
 
 
-def resolve_engine(engine: Optional[str]) -> str:
-    """Normalize an ``--engine`` value (None → the default, ``process``)."""
+def resolve_engine(engine: Optional[str], jobs: int) -> str:
+    """Normalize an ``--engine`` value.
+
+    An explicit engine wins; None means ``shared`` when ``jobs > 1`` and
+    ``inline`` otherwise.
+    """
     if engine is None:
-        return "process"
+        return "shared" if jobs > 1 else "inline"
     if engine not in ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}"
         )
     return engine
+
+
+def plan_chunksize(num_specs: int, workers: int) -> int:
+    """An explicit ``pool.map`` chunksize for a plan.
+
+    The default (1) pays one pickle/dispatch round-trip per spec, which
+    dominates for cheap specs.  Four chunks per worker keeps dispatch
+    overhead amortized while still letting finish-order stragglers
+    rebalance; the formula is the stdlib multiprocessing heuristic.
+    """
+    return max(1, num_specs // (workers * 4))
+
+
+def run_serial(
+    specs: Sequence[RunSpec],
+) -> Iterator[tuple[Hashable, Any, Optional[dict]]]:
+    """Execute specs in plan order in this process.
+
+    Yields ``(key, value, cache-counter delta)`` as each spec finishes,
+    so callers can commit (and journal) results as they stream in.
+    """
+    for spec in specs:
+        with CacheStatsCapture() as capture:
+            value = spec.execute()
+        yield spec.key, value, capture.delta()
 
 
 def _fleet_execute(spec: RunSpec) -> tuple[Hashable, Any, Optional[dict], list]:
@@ -78,9 +108,8 @@ def _fleet_execute(spec: RunSpec) -> tuple[Hashable, Any, Optional[dict], list]:
     empty list when the sanitizer is off): each worker process runs its
     own sanitizer, and findings that stay in a worker die with it.
     """
-    with CacheStatsCapture() as capture:
-        value = spec.execute()
-    return spec.key, value, capture.delta(), _san.take_findings()
+    key, value, delta = next(run_serial([spec]))
+    return key, value, delta, _san.take_findings()
 
 
 def _init_fleet_worker(remote: Any) -> None:
@@ -195,78 +224,62 @@ class SharedEngine:
         specs: Sequence[RunSpec],
         jobs: int,
         faults: Optional[EngineFaultInjector] = None,
-    ) -> tuple[dict[Hashable, Any], list[Optional[dict]]]:
-        """Execute a validated plan; returns (results, cache-stat deltas).
+    ) -> Iterator[tuple[Hashable, Any, Optional[dict]]]:
+        """Execute a validated plan, yielding ``(key, value, delta)``.
 
         ``jobs > 1`` (with a multi-spec plan, outside a worker) uses the
         persistent fleet; everything else runs serially in-process.
-        Results are collated by spec key in plan order either way, and
-        the deltas line up with ``specs``, one per spec.
+        Results come in plan order either way, one per spec.
         ``faults`` (default: the installed global plan) injects engine
-        failures; an unbuildable fleet surfaces as
-        :class:`FleetUnavailableError` for the executor's ladder.
+        failures.  An unbuildable fleet surfaces as
+        :class:`FleetUnavailableError`, and a fleet that breaks again
+        after its one rebuild as ``BrokenProcessPool`` (its pool retired
+        first); either is the executor's cue to degrade.
         """
         with self._lock:
             self.runs += 1
         injector = faults if faults is not None else active_injector()
         try:
             if jobs > 1 and len(specs) > 1 and not self._worker:
-                return self._run_fleet(specs, jobs, injector)
-            return self._run_serial(specs)
+                try:
+                    mapped = self._run_fleet(specs, jobs, injector)
+                except (BrokenProcessPool, OSError):
+                    # Retire the broken pool so a later run starts fresh.
+                    self._teardown_pool()
+                    raise
+                for key, value, delta, shipped in mapped:
+                    _san.absorb(shipped)
+                    yield key, value, delta
+            else:
+                yield from run_serial(specs)
         finally:
             self._flush_store(injector)
-
-    @staticmethod
-    def _run_serial(
-        specs: Sequence[RunSpec],
-    ) -> tuple[dict[Hashable, Any], list[Optional[dict]]]:
-        results: dict[Hashable, Any] = {}
-        parts: list[Optional[dict]] = []
-        for spec in specs:
-            with CacheStatsCapture() as capture:
-                results[spec.key] = spec.execute()
-            parts.append(capture.delta())
-        return results, parts
 
     def _run_fleet(
         self,
         specs: Sequence[RunSpec],
         jobs: int,
         injector: Optional[EngineFaultInjector] = None,
-    ) -> tuple[dict[Hashable, Any], list[Optional[dict]]]:
-        from repro.parallel.executor import plan_chunksize
-
+    ) -> list[tuple[Hashable, Any, Optional[dict], list]]:
         workers = min(jobs, len(specs))
         pool = self._ensure_fleet(workers, injector)
         chunksize = plan_chunksize(len(specs), workers)
-        results: dict[Hashable, Any] = {}
-        parts: list[Optional[dict]] = []
+        # A "slow" verdict abandons the first attempt on the virtual
+        # timeline before it runs anything: the map below is its retry
+        # on the same (healthy) fleet.
         verdict = injector.on_pool_run() if injector is not None else None
         try:
             if verdict == "kill":
                 raise BrokenProcessPool("injected worker kill")
-            if verdict == "slow":
-                raise _SlowWorkerTimeout()
-            mapped = list(pool.map(_fleet_execute, specs, chunksize=chunksize))
+            return list(pool.map(_fleet_execute, specs, chunksize=chunksize))
         except BrokenProcessPool:
             # A worker died (OOM, signal).  Specs are pure and idempotent,
-            # so rebuild the fleet once and retry the whole plan.  If the
-            # rebuild itself fails, FleetUnavailableError propagates and
-            # the executor degrades to the process engine.
+            # so rebuild the fleet once and retry the whole plan.
             self._teardown_pool(pool)
             if injector is not None:
                 injector.record_rebuild()
             pool = self._ensure_fleet(workers, injector)
-            mapped = list(pool.map(_fleet_execute, specs, chunksize=chunksize))
-        except _SlowWorkerTimeout:
-            # The attempt blew its virtual deadline: abandon it and retry
-            # the plan on the same (healthy) fleet.
-            mapped = list(pool.map(_fleet_execute, specs, chunksize=chunksize))
-        for key, value, delta, shipped in mapped:
-            results[key] = value
-            parts.append(delta)
-            _san.absorb(shipped)
-        return {spec.key: results[spec.key] for spec in specs}, parts
+            return list(pool.map(_fleet_execute, specs, chunksize=chunksize))
 
     # -- fleet lifecycle -------------------------------------------------
     def _ensure_fleet(

@@ -1,19 +1,17 @@
 """Fan independent runs over worker processes, deterministically.
 
 :class:`ParallelExecutor` executes a list of :class:`RunSpec`s and
-returns their results keyed by spec key.  Three engines share one
+returns their results keyed by spec key.  Two engines share one
 contract — the result map is identical at every ``engine``/``jobs``
 setting, because every spec is self-contained (own seed, content-
 addressed caches only) and results are collated by key in plan order:
 
 * ``inline`` — always in-process and serial, ``jobs`` is ignored.  The
-  debugging/CI baseline.
-* ``process`` — in-process when ``jobs=1`` or the plan has one spec,
-  otherwise a per-run :class:`concurrent.futures.ProcessPoolExecutor`
-  (PR 1's engine, now with an explicit ``chunksize``).
+  debugging/CI baseline and the default at ``jobs=1``.
 * ``shared`` — the persistent :class:`~repro.parallel.engine.SharedEngine`:
   a worker fleet reused across runs over a cross-process shared cache,
-  and a serial in-process path over the same caches at ``jobs=1``.
+  and a serial in-process path over the same caches at ``jobs=1``.  The
+  default at ``jobs > 1``.
 
 Whatever the engine, every spec runs inside a
 :class:`~repro.parallel.stats.CacheStatsCapture`, and the merged counter
@@ -25,20 +23,19 @@ instead of the parent's empty counters.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Hashable, Optional, Sequence
+from typing import Any, Hashable, Optional, Sequence
 
 from repro.faults.engine import (
     EngineFaultInjector,
     FleetUnavailableError,
     active_injector,
 )
-from repro.lint import sanitizer as _san
+from repro.parallel.engine import SharedEngine, resolve_engine, run_serial
 from repro.parallel.plan import RunSpec, run_specs
-from repro.parallel.stats import CacheStatsCapture, merge_cache_stats
+from repro.parallel.stats import merge_cache_stats
 
-__all__ = ["resolve_jobs", "plan_chunksize", "ParallelExecutor"]
+__all__ = ["resolve_jobs", "ParallelExecutor"]
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -48,29 +45,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
-
-
-def plan_chunksize(num_specs: int, workers: int) -> int:
-    """An explicit ``pool.map`` chunksize for a plan.
-
-    The default (1) pays one pickle/dispatch round-trip per spec, which
-    dominates for cheap specs.  Four chunks per worker keeps dispatch
-    overhead amortized while still letting finish-order stragglers
-    rebalance; the formula is the stdlib multiprocessing heuristic.
-    """
-    return max(1, num_specs // (workers * 4))
-
-
-def _execute(spec: RunSpec) -> tuple[Hashable, Any, Optional[dict], list]:
-    """Worker entry point: one spec plus its cache-counter delta.
-
-    The fourth element ships worker-side sanitizer findings home (empty
-    when the sanitizer is off) — see
-    :func:`repro.parallel.engine._fleet_execute`.
-    """
-    with CacheStatsCapture() as capture:
-        value = spec.execute()
-    return spec.key, value, capture.delta(), _san.take_findings()
 
 
 class ParallelExecutor:
@@ -83,10 +57,8 @@ class ParallelExecutor:
         journal=None,
         faults: Optional[EngineFaultInjector] = None,
     ) -> None:
-        from repro.parallel.engine import resolve_engine
-
         self.jobs = resolve_jobs(jobs)
-        self.engine = resolve_engine(engine)
+        self.engine = resolve_engine(engine, self.jobs)
         #: Optional :class:`~repro.durability.journal.ExperimentJournal`:
         #: completed specs are served from it and fresh results are
         #: committed to it as they stream in.
@@ -97,9 +69,6 @@ class ParallelExecutor:
         self.degradations: list[str] = []
         self._stats_parts: list[Optional[dict]] = []
 
-    def _injector(self) -> Optional[EngineFaultInjector]:
-        return self.faults if self.faults is not None else active_injector()
-
     def run(self, specs: Sequence[RunSpec]) -> dict[Hashable, Any]:
         """Execute every spec; results keyed by spec key.
 
@@ -109,10 +78,10 @@ class ParallelExecutor:
 
         With a journal, specs already committed by a previous (killed)
         run are served from it — value and cache-stat delta alike — and
-        only the remainder executes.  When the requested engine cannot
-        deliver (fleet unbuildable, pool broken), the run *degrades*
-        shared → process → inline instead of aborting: specs are pure, so
-        a simpler engine produces identical results, just slower.
+        only the remainder executes.  When the shared fleet cannot
+        deliver (unbuildable, or broken again after its rebuild), the run
+        *degrades* shared → inline instead of aborting: specs are pure,
+        so the serial engine produces identical results, just slower.
         """
         specs = list(specs)
         run_specs(specs)
@@ -140,79 +109,26 @@ class ParallelExecutor:
             if journal is not None:
                 journal.put(key, value, delta)
 
-        if pending:
-            engine = self.engine
-            if engine == "shared":
-                try:
-                    self._run_shared(pending, commit)
-                except FleetUnavailableError:
-                    engine = self._degrade("shared->process")
-            if engine == "process" and not (
-                self.jobs == 1 or len(pending) == 1
-            ):
-                try:
-                    self._run_pool(
-                        [s for s in pending if s.key not in collated], commit
-                    )
-                except (FleetUnavailableError, BrokenProcessPool, OSError):
-                    engine = self._degrade("process->inline")
-            if engine in ("process", "inline"):
-                self._run_inline(
-                    [s for s in pending if s.key not in collated], commit
+        if pending and self.engine == "shared":
+            try:
+                for key, value, delta in SharedEngine.instance().run(
+                    pending, self.jobs, faults=self.faults
+                ):
+                    commit(key, value, delta)
+            except (FleetUnavailableError, BrokenProcessPool, OSError):
+                step = "shared->inline"
+                self.degradations.append(step)
+                injector = (
+                    self.faults if self.faults is not None else active_injector()
                 )
-        return {spec.key: collated[spec.key] for spec in specs}
-
-    def _degrade(self, step: str) -> str:
-        """Take one rung of the ladder; returns the new engine name."""
-        self.degradations.append(step)
-        injector = self._injector()
-        if injector is not None:
-            injector.record_degradation(step)
-        return step.split("->", 1)[1]
-
-    def _run_shared(
-        self,
-        pending: Sequence[RunSpec],
-        commit: Callable[[Hashable, Any, Optional[dict]], None],
-    ) -> None:
-        from repro.parallel.engine import SharedEngine
-
-        results, parts = SharedEngine.instance().run(
-            pending, self.jobs, faults=self.faults
-        )
-        for spec, delta in zip(pending, parts):
-            commit(spec.key, results[spec.key], delta)
-
-    def _run_pool(
-        self,
-        pending: Sequence[RunSpec],
-        commit: Callable[[Hashable, Any, Optional[dict]], None],
-    ) -> None:
-        injector = self._injector()
-        if injector is not None and injector.on_build():
-            raise FleetUnavailableError("injected process-pool build failure")
-        workers = min(self.jobs, len(pending))
-        verdict = injector.on_pool_run() if injector is not None else None
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if verdict == "kill":
-                # This engine has no rebuild (the pool is per-run); a
-                # killed worker drops the run to the inline rung.
-                raise BrokenProcessPool("injected worker kill")
-            for key, value, delta, shipped in pool.map(
-                _execute, pending, chunksize=plan_chunksize(len(pending), workers)
+                if injector is not None:
+                    injector.record_degradation(step)
+        if len(collated) < len(specs):
+            for key, value, delta in run_serial(
+                [s for s in pending if s.key not in collated]
             ):
                 commit(key, value, delta)
-                _san.absorb(shipped)
-
-    def _run_inline(
-        self,
-        pending: Sequence[RunSpec],
-        commit: Callable[[Hashable, Any, Optional[dict]], None],
-    ) -> None:
-        for spec in pending:
-            with CacheStatsCapture() as capture:
-                value = spec.execute()
-            commit(spec.key, value, capture.delta())
+        return {spec.key: collated[spec.key] for spec in specs}
 
     def close(self) -> None:
         """Release the journal's file handle, if one is attached.

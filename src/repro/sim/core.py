@@ -1,34 +1,25 @@
 """Event loop and primitive events for the simulation kernel.
 
-Two dispatch paths share one public API:
+The heap entry, not the :class:`Event` object, is the unit of
+scheduling.  Entries are ``(at, seq, event, process)`` 4-tuples; a plain
+timer wakeup — the dominant operation in the DES, one per think/service
+delay — is a ``(at, seq, None, process)`` *resume record* that resumes
+the waiting process directly from the scheduler, with no ``Event``
+allocation, no callback list and no bound-method callback.  Processes
+wait on real events through a single ``_waiter`` slot when possible,
+and :meth:`Environment.run` dispatches with the heap bindings hoisted
+into locals.
 
-* The default **fast path** keeps the heap entry as the unit of
-  scheduling instead of the :class:`Event` object.  Entries are
-  ``(at, seq, event, process)`` 4-tuples; a plain timer wakeup — the
-  dominant operation in the DES, one per think/service delay — is a
-  ``(at, seq, None, process)`` *resume record* that resumes the waiting
-  process directly from the scheduler, with no ``Event`` allocation, no
-  callback list and no bound-method callback.  Processes wait on real
-  events through a single ``_waiter`` slot when possible, and
-  :meth:`Environment.run` dispatches with the heap bindings hoisted into
-  locals.
-* The **legacy path** (``REPRO_DES_LEGACY=1`` in the environment, or
-  ``Environment(fast=False)``) reproduces the seed kernel's behaviour
-  and per-event object traffic: every delay allocates a full
-  :class:`Timeout`, every wait registers a callback, and the run loop
-  calls :meth:`Environment.step` per event.  It is the reference
-  baseline for ``benchmarks/bench_des.py`` and the bit-identity suites.
-
-Both paths schedule in the same total ``(at, seq)`` order — a process
-yielding a bare ``float`` acquires its sequence number at the same point
-in the schedule stream as the seed kernel's ``yield env.timeout(...)``
-did — so simulations are bit-identical across the two.
+Scheduling follows one total ``(at, seq)`` order, and a process yielding
+a bare ``float`` acquires its sequence number at the same point in the
+schedule stream as ``yield env.timeout(...)`` does, so the two spellings
+of a delay simulate bit-identically.  ``tests/fixtures/des_golden.json``
+pins the simulator's output byte for byte.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -64,9 +55,9 @@ class Event:
     processed by the loop; waiting processes are resumed with the value or
     have the exception thrown into them.
 
-    The first fast-path process to wait occupies the ``_waiter`` slot
-    instead of appending a callback; the callback list itself is created
-    lazily (most events never need one).  Delivery order is unchanged:
+    The first process to wait occupies the ``_waiter`` slot instead of
+    appending a callback; the callback list itself is created lazily
+    (most events never need one).  Delivery follows registration order:
     the waiter slot is only used while the callback list is empty, so it
     is always the chronologically first registration.
     """
@@ -87,11 +78,7 @@ class Event:
         self._exc: Optional[BaseException] = None
         self._triggered = False
         self._processed = False
-        # The legacy path keeps the seed kernel's eager list (its cost is
-        # part of the pre-PR baseline); the fast path allocates lazily.
-        self._callbacks: Optional[list[Callable[["Event"], None]]] = (
-            None if env.fast else []
-        )
+        self._callbacks: Optional[list[Callable[["Event"], None]]] = None
         self._waiter: Optional["Process"] = None
 
     @property
@@ -121,12 +108,9 @@ class Event:
         self._triggered = True
         self._value = value
         env = self.env
-        if env.fast:
-            env._seq = seq = env._seq + 1
-            env._n_events += 1
-            _heappush(env._queue, (env._now, seq, self, None))
-        else:
-            env._schedule(env.now, self)
+        env._seq = seq = env._seq + 1
+        env._n_events += 1
+        _heappush(env._queue, (env._now, seq, self, None))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -138,12 +122,9 @@ class Event:
         self._triggered = True
         self._exc = exc
         env = self.env
-        if env.fast:
-            env._seq = seq = env._seq + 1
-            env._n_events += 1
-            _heappush(env._queue, (env._now, seq, self, None))
-        else:
-            env._schedule(env.now, self)
+        env._seq = seq = env._seq + 1
+        env._n_events += 1
+        _heappush(env._queue, (env._now, seq, self, None))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -165,11 +146,7 @@ class Event:
             self._waiter = None
             waiter._resume(self)
         callbacks = self._callbacks
-        if self.env.fast:
-            self._callbacks = None
-        else:
-            # Seed behaviour: swap in a fresh list before running.
-            self._callbacks = []
+        self._callbacks = None
         if callbacks:
             for fn in callbacks:
                 fn(self)
@@ -191,20 +168,11 @@ class Timeout(Event):
 
 
 class Environment:
-    """The simulation clock and event queue.
+    """The simulation clock and event queue."""
 
-    ``fast=None`` (the default) selects the fast dispatch path unless
-    ``REPRO_DES_LEGACY`` is set in the process environment.
-    """
+    __slots__ = ("_now", "_queue", "_seq", "_active", "_n_events")
 
-    __slots__ = ("_now", "_queue", "_seq", "_active", "fast", "_n_events")
-
-    def __init__(
-        self, initial_time: float = 0.0, fast: Optional[bool] = None
-    ) -> None:
-        if fast is None:
-            fast = not os.environ.get("REPRO_DES_LEGACY")
-        self.fast = bool(fast)
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._queue: list[
             tuple[float, int, Optional[Event], Optional["Process"]]
@@ -308,67 +276,62 @@ class Environment:
         else:
             limit = _INF
         queue = self._queue
-        if self.fast:
-            pop = _heappop
-            push = _heappush
-            while queue:
-                at, seq, event, process = pop(queue)
-                if at > limit:
-                    # Too far: restore the entry and stop.
-                    push(queue, (at, seq, event, process))
-                    break
-                self._now = at
-                if event is None:
-                    if process._resume_seq != seq:
-                        continue  # stale record (interrupted / moved on)
-                    value = None
-                else:
-                    # Event delivery.  The dominant shape — one fast-path
-                    # waiter, no callbacks, no failure — feeds straight
-                    # into the inlined send below; anything else takes
-                    # the full _process path.
-                    waiter = event._waiter
-                    if (
-                        waiter is None
-                        or event._callbacks is not None
-                        or event._exc is not None
-                        or waiter._waiting_on is not event
-                    ):
-                        event._process()
-                        continue
-                    event._processed = True
-                    event._waiter = None
-                    waiter._waiting_on = None
-                    process = waiter
-                    value = event._value
-                # Inline of Process._step for the dominant resume /
-                # single-waiter delivery cycle; non-delay yields fall
-                # back to Process._wait_on.
-                self._active = process
-                try:
-                    target = process._generator.send(value)
-                except StopIteration as stop:
-                    self._active = None
-                    process.succeed(stop.value)
+        pop = _heappop
+        push = _heappush
+        while queue:
+            at, seq, event, process = pop(queue)
+            if at > limit:
+                # Too far: restore the entry and stop.
+                push(queue, (at, seq, event, process))
+                break
+            self._now = at
+            if event is None:
+                if process._resume_seq != seq:
+                    continue  # stale record (interrupted / moved on)
+                value = None
+            else:
+                # Event delivery.  The dominant shape — one waiter, no
+                # callbacks, no failure — feeds straight into the inlined
+                # send below; anything else takes the full _process path.
+                waiter = event._waiter
+                if (
+                    waiter is None
+                    or event._callbacks is not None
+                    or event._exc is not None
+                    or waiter._waiting_on is not event
+                ):
+                    event._process()
                     continue
-                except Interrupt as unhandled:
-                    self._active = None
-                    process.fail(unhandled)
-                    continue
-                except Exception as err:
-                    self._active = None
-                    process.fail(err)
-                    continue
+                event._processed = True
+                event._waiter = None
+                waiter._waiting_on = None
+                process = waiter
+                value = event._value
+            # Inline of Process._step for the dominant resume /
+            # single-waiter delivery cycle; non-delay yields fall back to
+            # Process._wait_on.
+            self._active = process
+            try:
+                target = process._generator.send(value)
+            except StopIteration as stop:
                 self._active = None
-                if target.__class__ is float and target >= 0.0:
-                    self._seq = seq = self._seq + 1
-                    push(queue, (at + target, seq, None, process))
-                    process._resume_seq = seq
-                else:
-                    process._wait_on(target)
-        else:
-            while queue and queue[0][0] <= limit:
-                self.step()
+                process.succeed(stop.value)
+                continue
+            except Interrupt as unhandled:
+                self._active = None
+                process.fail(unhandled)
+                continue
+            except Exception as err:
+                self._active = None
+                process.fail(err)
+                continue
+            self._active = None
+            if target.__class__ is float and target >= 0.0:
+                self._seq = seq = self._seq + 1
+                push(queue, (at + target, seq, None, process))
+                process._resume_seq = seq
+            else:
+                process._wait_on(target)
         if until is not None:
             self._now = max(self._now, until)
         return self._now

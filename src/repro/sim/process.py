@@ -9,7 +9,6 @@ from repro.sim.core import (
     Event,
     Interrupt,
     SimulationError,
-    Timeout,
     _heappush,
 )
 
@@ -26,13 +25,11 @@ class Process(Event):
     processes can wait on each other.
 
     A yielded bare ``float`` is a plain delay — equivalent to yielding
-    ``env.timeout(delay)``.  On the fast path it schedules a resume
-    record instead of a :class:`~repro.sim.core.Timeout` (no event
-    object, no callback); on the legacy path it is wrapped in a real
-    ``Timeout``, reproducing the seed kernel's traffic.  Either way the
-    delay acquires its schedule position at the yield, exactly where the
-    seed kernel's ``Timeout`` constructor acquired its — simulations are
-    bit-identical across both paths.
+    ``env.timeout(delay)``, but it schedules a resume record instead of a
+    :class:`~repro.sim.core.Timeout` (no event object, no callback).  The
+    delay acquires its schedule position at the yield, exactly where a
+    ``Timeout`` constructor would acquire its, so both spellings simulate
+    bit-identically.
     """
 
     __slots__ = ("_generator", "_waiting_on", "_resume_seq")
@@ -43,17 +40,8 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        if env.fast:
-            # Kick off at the current time via a bare resume record.
-            self._resume_seq = env._schedule_resume(env._now, self)
-        else:
-            # Seed behaviour: a full initiator event with a callback.
-            self._resume_seq = -1
-            start = Event(env)
-            self._waiting_on = start
-            start.add_callback(self._resume)
-            start._triggered = True
-            env._schedule(env._now, start)
+        # Kick off at the current time via a bare resume record.
+        self._resume_seq = env._schedule_resume(env._now, self)
 
     @property
     def is_alive(self) -> bool:
@@ -92,11 +80,11 @@ class Process(Event):
             self._step(event.value, None)
 
     def _wait_on(self, target: Any) -> None:
-        """Register the wait for a non-plain-delay yield (fast path only).
+        """Register the wait for a non-plain-delay yield.
 
-        Called by the run loop's inlined dispatch when the yielded object
-        is not a non-negative ``float``: a real :class:`Event` wait, a
-        negative delay (error) or a non-event (error).
+        Called after a step when the yielded object is not a non-negative
+        ``float``: a real :class:`Event` wait, a negative delay (error) or
+        a non-event (error).
         """
         if target.__class__ is float:
             self._step(
@@ -140,33 +128,11 @@ class Process(Event):
         finally:
             env._active = prev
 
-        if target.__class__ is float:
-            # Bare-delay fast path: one heap record, no Event machinery.
-            if target < 0.0:
-                self._step(
-                    None, SimulationError(f"negative timeout delay: {target}")
-                )
-                return
-            if env.fast:
-                self._waiting_on = None
-                env._seq = seq = env._seq + 1
-                _heappush(env._queue, (env._now + target, seq, None, self))
-                self._resume_seq = seq
-                return
-            target = Timeout(env, target)
-        elif not isinstance(target, Event):
-            self._step(
-                None,
-                SimulationError(f"process yielded non-event {target!r}"),
-            )
-            return
-        self._waiting_on = target
-        if (
-            env.fast
-            and not target._processed
-            and target._waiter is None
-            and not target._callbacks
-        ):
-            target._waiter = self
+        if target.__class__ is float and target >= 0.0:
+            # Bare delay: one heap record, no Event machinery.
+            self._waiting_on = None
+            env._seq = seq = env._seq + 1
+            _heappush(env._queue, (env._now + target, seq, None, self))
+            self._resume_seq = seq
         else:
-            target.add_callback(self._resume)
+            self._wait_on(target)

@@ -9,8 +9,8 @@ event ordering or random draw shows up as a byte-level mismatch.
 Floats are stored as ``float.hex()`` strings: JSON round-trips of decimal
 reprs can lose the last bit, and "byte-identical" means exactly that.
 
-Regenerate (only when a deliberate behaviour change is being made, with
-the old kernel via ``REPRO_DES_LEGACY=1`` as the reference)::
+Regenerate only when a deliberate behaviour change is being made (the
+new fixture then pins the changed simulator, so review its diff)::
 
     PYTHONPATH=src python -m tests.des_golden_cases
 

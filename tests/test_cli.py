@@ -217,19 +217,6 @@ class TestScaleCli:
         args = build_parser().parse_args(["experiment", "scale"])
         assert args.name == "scale"
 
-    def test_engine_defaults_to_shared_for_fanout(self):
-        from repro.cli import _resolve_engine
-
-        assert _resolve_engine("fig4", None, 4) == "shared"
-        assert _resolve_engine("table4", None, 2) == "shared"
-        assert _resolve_engine("scale", None, 8) == "shared"
-        # Serial runs and non-fan-out drivers keep the process pool.
-        assert _resolve_engine("sensitivity", None, 1) == "process"
-        assert _resolve_engine("fig5", None, 8) == "process"
-        # An explicit --engine always wins.
-        assert _resolve_engine("fig4", "process", 8) == "process"
-        assert _resolve_engine("fig5", "shared", 1) == "shared"
-
     def test_baseline_with_fluid_approximation(self, capsys):
         rc = main(["baseline", "--population", "100k", "--repeats", "2"])
         assert rc == 0

@@ -6,11 +6,12 @@ the uninterrupted run — for plain sessions, for sessions under injected
 cluster faults with a resilience policy, and for the fan-out experiment
 drivers.  Alongside it: the frame format survives torn tails and detects
 corruption, the disk-backed store quarantines damaged entries instead of
-serving them, and the executor degrades shared → process → inline when
-the fleet cannot be built.
+serving them, and the executor degrades shared → inline when the fleet
+cannot be built or breaks again after its rebuild.
 """
 
 import json
+import multiprocessing
 import os
 
 import pytest
@@ -429,6 +430,13 @@ def _probe(x):
     return x * 3
 
 
+def _exit_in_worker(x):
+    """Kill the pool worker that runs it; in the parent, act as _probe."""
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+    return _probe(x)
+
+
 class TestEngineFaultPlan:
     def test_json_round_trip(self, tmp_path):
         plan = EngineFaultPlan(
@@ -462,30 +470,51 @@ class TestEngineFaultPlan:
 
 
 class TestDegradationLadder:
-    def _specs(self):
-        return [RunSpec(("p", i), _probe, {"x": i}) for i in range(4)]
+    """One rung: a fleet that cannot run the plan degrades to inline."""
 
-    def test_shared_to_process_to_inline(self):
-        injector = EngineFaultInjector(EngineFaultPlan(build_failures=2))
+    @pytest.fixture(autouse=True)
+    def fresh_engine(self):
+        SharedEngine.reset()
+        yield
+        SharedEngine.reset()
+
+    def _specs(self, fn=_probe):
+        return [RunSpec(("p", i), fn, {"x": i}) for i in range(4)]
+
+    def _run(self, plan, fn=_probe):
+        injector = EngineFaultInjector(plan)
         executor = ParallelExecutor(2, engine="shared", faults=injector)
-        results = executor.run(self._specs())
-        assert executor.degradations == ["shared->process", "process->inline"]
+        results = executor.run(self._specs(fn))
         assert results == {("p", i): i * 3 for i in range(4)}
         assert injector.stats.degradations == executor.degradations
+        return executor, injector.stats
 
-    def test_shared_degrades_once_when_pool_builds(self):
-        injector = EngineFaultInjector(EngineFaultPlan(build_failures=1))
-        executor = ParallelExecutor(2, engine="shared", faults=injector)
-        results = executor.run(self._specs())
-        assert executor.degradations == ["shared->process"]
-        assert results == {("p", i): i * 3 for i in range(4)}
+    def test_unbuildable_fleet_degrades_to_inline(self):
+        executor, stats = self._run(EngineFaultPlan(build_failures=1))
+        assert executor.degradations == ["shared->inline"]
+        assert stats.build_failures == 1
 
-    def test_pool_worker_kill_degrades_to_inline(self):
-        injector = EngineFaultInjector(EngineFaultPlan(kill_worker_runs=(1,)))
-        executor = ParallelExecutor(2, engine="process", faults=injector)
-        results = executor.run(self._specs())
-        assert executor.degradations == ["process->inline"]
-        assert results == {("p", i): i * 3 for i in range(4)}
+    def test_worker_kill_rebuilds_fleet_without_degrading(self):
+        executor, stats = self._run(EngineFaultPlan(kill_worker_runs=(1,)))
+        assert stats.worker_kills == 1
+        assert stats.fleet_rebuilds == 1
+        assert executor.degradations == []
+
+    def test_slow_run_retries_without_degrading(self):
+        executor, stats = self._run(EngineFaultPlan(slow_runs=(1,)))
+        assert stats.slow_timeouts == 1
+        assert stats.fleet_rebuilds == 0
+        assert executor.degradations == []
+
+    def test_fleet_broken_twice_degrades_to_inline(self):
+        # Every fleet worker dies on the spec, so the rebuilt fleet breaks
+        # too; the run must finish inline instead of raising.
+        executor, stats = self._run(EngineFaultPlan(), fn=_exit_in_worker)
+        assert executor.degradations == ["shared->inline"]
+        # The broken pool was retired: the next run builds a fresh fleet.
+        assert ParallelExecutor(2, engine="shared").run(self._specs()) == {
+            ("p", i): i * 3 for i in range(4)
+        }
 
     def test_no_faults_no_degradation(self):
         executor = ParallelExecutor(1, engine="inline")

@@ -108,11 +108,18 @@ def tuning_trajectory(engine):
 
 class TestEngineAxis:
     def test_resolve_engine(self):
-        assert resolve_engine(None) == "process"
-        for engine in ENGINES:
-            assert resolve_engine(engine) == engine
+        assert ENGINES == ("inline", "shared")
+        # No explicit engine: the fleet only when there are workers.
+        assert resolve_engine(None, 1) == "inline"
+        assert resolve_engine(None, 2) == "shared"
+        # An explicit engine always wins.
+        for jobs in (1, 2):
+            for engine in ENGINES:
+                assert resolve_engine(engine, jobs) == engine
         with pytest.raises(ValueError, match="unknown engine"):
-            resolve_engine("threads")
+            resolve_engine("threads", 1)
+        assert ParallelExecutor(jobs=2).engine == "shared"
+        assert ParallelExecutor(jobs=1).engine == "inline"
 
     def test_executor_rejects_unknown_engine(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -140,7 +147,6 @@ class TestEquivalenceMatrix:
         [
             ("inline", 1),
             ("inline", 4),
-            ("process", 4),
             ("shared", 1),
             ("shared", 4),
         ],
@@ -159,7 +165,7 @@ class TestEquivalenceMatrix:
             for s in (3, 5)
         ]
         baseline = ParallelExecutor(jobs=1, engine="inline").run(specs)
-        for engine, jobs in [("process", 2), ("shared", 1), ("shared", 2)]:
+        for engine, jobs in [("shared", 1), ("shared", 2)]:
             assert ParallelExecutor(jobs=jobs, engine=engine).run(specs) == (
                 baseline
             ), (engine, jobs)
@@ -167,7 +173,6 @@ class TestEquivalenceMatrix:
 
     def test_trajectories_agree_across_engines(self, fresh_engine):
         baseline = tuning_trajectory("inline")
-        assert tuning_trajectory("process") == baseline
         assert tuning_trajectory("shared") == baseline
         # Warm shared-engine rerun: served from the persistent caches,
         # still the exact same numbers.
@@ -211,10 +216,10 @@ class TestSharedCacheTopology:
         assert stats is not None
         assert stats.get("measurement_hits", 0) > 0
 
-    def test_pooled_cache_stats_aggregated(self):
-        # The satellite fix: a per-run process pool now reports the cache
-        # traffic that happened inside its workers.
-        executor = ParallelExecutor(jobs=2, engine="process")
+    def test_pooled_cache_stats_aggregated(self, fresh_engine):
+        # A pooled run reports the cache traffic that happened inside the
+        # fleet workers, not the parent's empty counters.
+        executor = ParallelExecutor(jobs=2, engine="shared")
         executor.run(
             [
                 RunSpec(key=("p", s), fn=memoized_probe, kwargs={"seed": s})
