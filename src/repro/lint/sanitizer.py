@@ -3,7 +3,8 @@
 The RPL10x rules catch what the AST shows; this module catches what only
 an execution shows.  When enabled (``REPRO_SANITIZE=1`` in the
 environment, ``--sanitize`` on the CLI, or a test's :func:`scope`), the
-``repro.parallel`` hot objects construct their locks through
+``repro.parallel`` hot objects and the memos
+(:class:`~repro.model.base.ContentMemo`) construct their locks through
 :func:`wrap_lock` and call the check hooks below, and the sanitizer
 records *real* held-lock sets, access sites, and cache values to report
 three dynamic hazards through the ordinary lint :class:`Finding` schema

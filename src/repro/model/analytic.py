@@ -23,15 +23,15 @@ iteration.  Each task's trajectory is independent (converged ones are
 frozen), so a task's solution does not depend on what else shares its
 batch.  :meth:`AnalyticBackend.measure_batch` builds on it,
 deduplicating identical configurations (only the noise draw depends on
-the seed) and consulting a per-backend LRU solution cache keyed on
-``(scenario fingerprint, configuration)``.
+the seed) and consulting a per-backend solution memo
+(:class:`~repro.model.base.ContentMemo`) keyed on ``(scenario
+fingerprint, configuration)``.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.cluster.context import WorkloadContext
 from repro.tpcw.interactions import InteractionCategory
@@ -41,6 +41,7 @@ from repro.cluster.topology import ClusterSpec
 from repro.harmony.parameter import Configuration
 from repro.model.base import (
     CacheStats,
+    ContentMemo,
     Measurement,
     PerformanceBackend,
     ResourceUtilization,
@@ -51,6 +52,9 @@ from repro.model.hierarchy import AggregationPlan, aggregation_plan
 from repro.model.mva import MvaNetwork, MvaResult, Station, solve_mva_batch
 from repro.model.noise import NoiseModel
 from repro.util.rng import spawn_rng
+
+if TYPE_CHECKING:
+    from repro.parallel.store import SharedStore
 
 __all__ = ["AnalyticBackend", "AnalyticSolution", "APPROXIMATIONS"]
 
@@ -245,7 +249,11 @@ class _OuterState:
 
 
 class AnalyticBackend(PerformanceBackend):
-    """MVA-based testbed substitute (fast path for tuning sweeps)."""
+    """MVA-based testbed substitute (fast path for tuning sweeps).
+
+    ``store`` puts the shared engine's cross-process store behind the
+    solution memo (``("sol", key)`` entries).
+    """
 
     def __init__(
         self,
@@ -259,6 +267,7 @@ class AnalyticBackend(PerformanceBackend):
         fluid_population_threshold: int = 50_000,
         hierarchy_node_threshold: int = 16,
         max_exact_population: int = 200_000,
+        store: Optional["SharedStore"] = None,
     ) -> None:
         if not 0.0 < damping <= 1.0:
             raise ValueError("damping must be in (0, 1]")
@@ -289,10 +298,7 @@ class AnalyticBackend(PerformanceBackend):
         # Deterministic-solution memo: (scenario fp, config) → solution.
         # The solve is seed-independent (only the noise draw varies), so
         # re-measuring a configuration on fresh seeds costs one solve.
-        self._solution_cache: OrderedDict[tuple, AnalyticSolution] = OrderedDict()
-        self._solution_hits = 0
-        self._solution_misses = 0
-        self._solution_shared_hits = 0
+        self.solutions = ContentMemo(solution_cache_size, "sol", store)
 
     # ------------------------------------------------------------------
     def _context(self, scenario: Scenario) -> WorkloadContext:
@@ -651,34 +657,6 @@ class AnalyticBackend(PerformanceBackend):
             tuple(sorted(configuration.items())),
         ) + self._mode_tag(scenario.cluster, scenario.population)
 
-    def _solution_get(self, key: tuple) -> Optional[AnalyticSolution]:
-        if self.solution_cache_size == 0:
-            return None
-        sol = self._solution_cache.get(key)
-        if sol is None:
-            self._solution_misses += 1
-            return None
-        self._solution_hits += 1
-        self._solution_cache.move_to_end(key)
-        return sol
-
-    def _solution_peek(self, key: tuple) -> Optional[AnalyticSolution]:
-        """Cache probe without touching counters or LRU order.
-
-        Used by prefetching, whose probes would otherwise distort the
-        hit/miss statistics reported for real measurements.
-        """
-        if self.solution_cache_size == 0:
-            return None
-        return self._solution_cache.get(key)
-
-    def _solution_put(self, key: tuple, solution: AnalyticSolution) -> None:
-        if self.solution_cache_size == 0:
-            return
-        self._solution_cache[key] = solution
-        while len(self._solution_cache) > self.solution_cache_size:
-            self._solution_cache.popitem(last=False)
-
     def export_solutions(self) -> list[tuple[tuple, AnalyticSolution]]:
         """Snapshot of the deterministic-solution memo.
 
@@ -687,20 +665,13 @@ class AnalyticBackend(PerformanceBackend):
         Solutions are deterministic, so shipping them across processes is
         bit-safe.
         """
-        return list(self._solution_cache.items())
+        return self.solutions.items()
 
     def absorb_solutions(
         self, items: Sequence[tuple[tuple, AnalyticSolution]]
     ) -> int:
         """Merge solutions solved elsewhere; returns how many were new."""
-        if self.solution_cache_size == 0:
-            return 0
-        added = 0
-        for key, sol in items:
-            if key not in self._solution_cache:
-                self._solution_put(key, sol)
-                added += 1
-        return added
+        return self.solutions.absorb(items)
 
     def _solve_cached(
         self,
@@ -710,23 +681,67 @@ class AnalyticBackend(PerformanceBackend):
         think: float,
     ) -> AnalyticSolution:
         key = self._solution_key(scenario, configuration)
-        sol = self._solution_get(key)
+        sol = self.solutions.get(key)
         if sol is None:
             (sol,) = self.solve_tasks_multi(
                 [(scenario.cluster, configuration, scenario.population, ctx, think)]
             )
-            self._solution_put(key, sol)
+            self.solutions.put(key, sol)
         return sol
+
+    def _solve_configs(
+        self,
+        scenario: Scenario,
+        configurations: Iterable[Configuration],
+        probe: Callable[[tuple], Optional[AnalyticSolution]],
+    ) -> tuple[dict[Configuration, list], dict[tuple, AnalyticSolution], int]:
+        """Solutions for many configurations: memo first, one cold batch.
+
+        Each distinct configuration becomes its solve tasks: one per work
+        line for a partitioned scenario (see :meth:`_line_tasks`), else a
+        single ``(None, key, cluster, configuration, population)`` entry.
+        Each distinct key is probed once with ``probe`` — the memo's
+        counting ``get``, or ``peek`` for prefetches — and the misses are
+        solved in one :meth:`solve_tasks_multi` batch and written to the
+        memo.  Returns ``(tasks by configuration, solutions by key,
+        number of cold solves)``.
+        """
+        ctx = self._context(scenario)
+        think = scenario.behavior.effective_mean_think_time
+        plans: dict[Configuration, list] = {}
+        solutions: dict[tuple, AnalyticSolution] = {}
+        probed: set[tuple] = set()
+        cold_keys: list[tuple] = []
+        cold_tasks: list[tuple] = []
+        for cfg in configurations:
+            if cfg in plans:
+                continue
+            if scenario.work_lines:
+                tasks = self._line_tasks(scenario, cfg)
+            else:
+                key = self._solution_key(scenario, cfg)
+                tasks = [(None, key, scenario.cluster, cfg, scenario.population)]
+            plans[cfg] = tasks
+            for _, key, cluster, sub_cfg, population in tasks:
+                if key in probed:
+                    continue
+                probed.add(key)
+                sol = probe(key)
+                if sol is None:
+                    cold_keys.append(key)
+                    cold_tasks.append((cluster, sub_cfg, population, ctx, think))
+                else:
+                    solutions[key] = sol
+        if cold_tasks:
+            for key, sol in zip(cold_keys, self.solve_tasks_multi(cold_tasks)):
+                self.solutions.put(key, sol)
+                solutions[key] = sol
+        return plans, solutions, len(cold_tasks)
 
     @property
     def solution_cache_stats(self) -> CacheStats:
         """Hit/miss/size counters of the deterministic-solution memo."""
-        return CacheStats(
-            hits=self._solution_hits,
-            misses=self._solution_misses,
-            size=len(self._solution_cache),
-            shared_hits=self._solution_shared_hits,
-        )
+        return self.solutions.stats
 
     # ------------------------------------------------------------------
     def _subset_config(
@@ -838,7 +853,7 @@ class AnalyticBackend(PerformanceBackend):
             cold_tasks: list[tuple] = []
             # Each line key names its line, so no key repeats here.
             for _, key, sub_cluster, sub_cfg, sub_pop in tasks:
-                sol = self._solution_get(key)
+                sol = self.solutions.get(key)
                 if sol is None:
                     cold_keys.append(key)
                     cold_tasks.append((sub_cluster, sub_cfg, sub_pop, ctx, think))
@@ -847,7 +862,7 @@ class AnalyticBackend(PerformanceBackend):
             if cold_tasks:
                 solved = self.solve_tasks_multi(cold_tasks)
                 for key, sol in zip(cold_keys, solved):
-                    self._solution_put(key, sol)
+                    self.solutions.put(key, sol)
                     solutions[key] = sol
             return self._measure_partitioned(
                 scenario, seed, extremeness, tasks, solutions
@@ -890,67 +905,21 @@ class AnalyticBackend(PerformanceBackend):
         per-line tasks, deduplicate them across requests, and solve the
         cold ones in one batch as well.
         """
-        ctx = self._context(scenario)
-        think = scenario.behavior.effective_mean_think_time
-        if scenario.work_lines:
-            task_lists: dict[Configuration, list] = {}
-            solutions: dict[tuple, AnalyticSolution] = {}
-            probed: set[tuple] = set()
-            cold_keys: list[tuple] = []
-            cold_tasks: list[tuple] = []
-            for cfg, _ in requests:
-                if cfg in task_lists:
-                    continue
-                tasks = self._line_tasks(scenario, cfg)
-                task_lists[cfg] = tasks
-                for _, key, sub_cluster, sub_cfg, sub_pop in tasks:
-                    if key in probed:
-                        continue
-                    probed.add(key)
-                    sol = self._solution_get(key)
-                    if sol is None:
-                        cold_keys.append(key)
-                        cold_tasks.append((sub_cluster, sub_cfg, sub_pop, ctx, think))
-                    else:
-                        solutions[key] = sol
-            if cold_tasks:
-                solved = self.solve_tasks_multi(cold_tasks)
-                for key, sol in zip(cold_keys, solved):
-                    self._solution_put(key, sol)
-                    solutions[key] = sol
-            out = []
-            for cfg, seed in requests:
-                extremeness = scenario.cluster.full_space().extremeness(cfg)
-                out.append(
-                    self._measure_partitioned(
-                        scenario, seed, extremeness, task_lists[cfg], solutions
-                    )
-                )
-            return out
-
-        by_config: dict[Configuration, AnalyticSolution] = {}
-        cold_configs: list[Configuration] = []
-        for cfg in dict.fromkeys(cfg for cfg, _ in requests):
-            sol = self._solution_get(self._solution_key(scenario, cfg))
-            if sol is None:
-                cold_configs.append(cfg)
-            else:
-                by_config[cfg] = sol
-        if cold_configs:
-            solved = self.solve_tasks_multi(
-                [
-                    (scenario.cluster, cfg, scenario.population, ctx, think)
-                    for cfg in cold_configs
-                ]
-            )
-            for cfg, sol in zip(cold_configs, solved):
-                by_config[cfg] = sol
-                self._solution_put(self._solution_key(scenario, cfg), sol)
-
+        plans, solutions, _ = self._solve_configs(
+            scenario, (cfg for cfg, _ in requests), self.solutions.get
+        )
         out = []
         for cfg, seed in requests:
-            sol = by_config[cfg]
             extremeness = scenario.cluster.full_space().extremeness(cfg)
+            if scenario.work_lines:
+                out.append(
+                    self._measure_partitioned(
+                        scenario, seed, extremeness, plans[cfg], solutions
+                    )
+                )
+                continue
+            ((_, key, _, _, _),) = plans[cfg]
+            sol = solutions[key]
             rng = spawn_rng(seed, "analytic-measure")
             wips = self.noise.apply(
                 sol.effective_wips, extremeness, sol.max_memory_penalty, rng
@@ -985,40 +954,10 @@ class AnalyticBackend(PerformanceBackend):
         Partitioned scenarios decompose into per-line tasks first, so a
         frontier that varies one group's fragment costs one sub-solve per
         *new* fragment, not per full configuration.  Cache probes bypass
-        the hit/miss counters (see :meth:`_solution_peek`), and nothing
+        the hit/miss counters (see :meth:`ContentMemo.peek`), and nothing
         here affects measured values — only their latency.  Returns the
         number of cold solves completed and cached.
         """
         if self.solution_cache_size == 0 or not configurations:
             return 0
-        ctx = self._context(scenario)
-        think = scenario.behavior.effective_mean_think_time
-        if scenario.work_lines:
-            candidates = (
-                (key, (sub_cluster, sub_cfg, sub_pop, ctx, think))
-                for cfg in configurations
-                for _, key, sub_cluster, sub_cfg, sub_pop in self._line_tasks(
-                    scenario, cfg
-                )
-            )
-        else:
-            candidates = (
-                (
-                    self._solution_key(scenario, cfg),
-                    (scenario.cluster, cfg, scenario.population, ctx, think),
-                )
-                for cfg in configurations
-            )
-        queued: set[tuple] = set()
-        cold_keys: list[tuple] = []
-        cold_tasks: list[tuple] = []
-        for key, task in candidates:
-            if key not in queued and self._solution_peek(key) is None:
-                queued.add(key)
-                cold_keys.append(key)
-                cold_tasks.append(task)
-        if not cold_tasks:
-            return 0
-        for key, sol in zip(cold_keys, self.solve_tasks_multi(cold_tasks)):
-            self._solution_put(key, sol)
-        return len(cold_tasks)
+        return self._solve_configs(scenario, configurations, self.solutions.peek)[2]

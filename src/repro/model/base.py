@@ -6,29 +6,37 @@ workload and the closed EB population) and a full configuration, produce a
 :class:`Measurement` — WIPS plus the per-node resource utilizations §IV's
 reconfiguration algorithm monitors.
 
-This module also hosts the measurement-memoization layer: a
-content-addressed :class:`MeasurementCache` keyed on ``(scenario
-fingerprint, configuration, seed)`` and the :class:`MemoizedBackend`
-wrapper that consults it, so repeated evaluations of the same point
-(simplex shrink re-evaluations, remeasure baselines, cross-workload matrix
-reuse) are never solved twice.  Measurements are deterministic per seed,
-so a cache hit returns the bit-identical measurement the backend would
-have produced.
+This module also hosts the memoization layer.  :class:`ContentMemo` is
+the one content-addressed memo: an in-process LRU, optionally backed by
+the shared engine's cross-process store.  Two memos are built on it: the
+analytic backend's seed-free solution memo, and the
+:class:`MeasurementCache` keyed on ``(scenario fingerprint,
+configuration, seed)`` that the :class:`MemoizedBackend` wrapper
+consults, so repeated evaluations of the same point (simplex shrink
+re-evaluations, remeasure baselines, cross-workload matrix reuse) are
+never solved twice.  Measurements are deterministic per seed, so a cache
+hit returns the bit-identical measurement the backend would have
+produced.
 """
 
 from __future__ import annotations
 
 import abc
 import hashlib
+import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Optional, Sequence
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
 
 from repro.cluster.topology import ClusterSpec
 from repro.harmony.parameter import Configuration
+from repro.lint import sanitizer as _san
 from repro.tpcw.browser import BrowserBehavior
 from repro.tpcw.catalog import Catalog
 from repro.tpcw.interactions import WorkloadMix
+
+if TYPE_CHECKING:
+    from repro.parallel.store import SharedStore
 
 __all__ = [
     "Scenario",
@@ -37,6 +45,7 @@ __all__ = [
     "PerformanceBackend",
     "CacheStats",
     "SpeculationStats",
+    "ContentMemo",
     "MeasurementCache",
     "MemoizedBackend",
 ]
@@ -380,26 +389,176 @@ class SpeculationStats:
         }
 
 
-class MeasurementCache:
+class ContentMemo:
+    """A content-addressed LRU memo with an optional shared second level.
+
+    L1 is an in-process LRU of at most ``max_entries`` entries (``None``:
+    unbounded; ``0``: the memo is off and stores and counts nothing).  An
+    optional :class:`~repro.parallel.store.SharedStore` is the L2, probed
+    under ``(namespace, key)``: an L1 miss that hits the store is copied
+    into L1 and counts as a hit *and* a ``shared_hit``, and a put writes
+    both levels.  Values must be deterministic per key, which is what makes
+    a hit bit-identical to a recompute at every level.
+
+    L1 reads and writes hold the memo's lock; store traffic runs outside
+    it (it may be an IPC round trip, and a racing writer publishes
+    identical bytes).  The lock is dropped on pickling and rebuilt on
+    unpickling, so a store-free memo travels with the backend that owns it.
+    """
+
+    def __init__(
+        self,
+        max_entries: Optional[int],
+        namespace: str,
+        store: Optional["SharedStore"] = None,
+    ) -> None:
+        if max_entries is not None and max_entries < 0:
+            raise ValueError("max_entries must be >= 0 (or None for unbounded)")
+        self.max_entries = max_entries
+        self.namespace = namespace
+        self._store = store
+        self._entries: OrderedDict[tuple, object] = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+        #: The subset of ``hits`` served by the L2 store.
+        self.shared_hits = 0
+        self._lock = _san.wrap_lock("ContentMemo._lock", threading.RLock())
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = _san.wrap_lock("ContentMemo._lock", threading.RLock())
+
+    def get(self, key: tuple) -> Optional[object]:
+        """The value under ``key``, or None (counts a hit or a miss)."""
+        if self.max_entries == 0:
+            return None
+        with self._lock:
+            value = self._entries.get(key)
+            if value is not None:
+                self.hits += 1
+                self._entries.move_to_end(key)
+                return value
+        if self._store is not None:
+            value = self._store.get((self.namespace, key))
+        with self._lock:
+            if value is None:
+                self.misses += 1
+                self._on_miss(key)
+                return None
+            if _san.active():
+                _san.check_coherent(
+                    f"{self.namespace} L1/L2", key, self._entries.get(key), value
+                )
+            self.hits += 1
+            self.shared_hits += 1
+            self._insert(key, value)
+        return value
+
+    def peek(self, key: tuple) -> Optional[object]:
+        """Like :meth:`get`, but leaves the counters and LRU order alone.
+
+        Prefetching probes this way, so its lookups never distort the
+        hit/miss statistics reported for real measurements.
+        """
+        if self.max_entries == 0:
+            return None
+        with self._lock:
+            value = self._entries.get(key)
+        if value is None and self._store is not None:
+            value = self._store.get((self.namespace, key))
+        return value
+
+    def put(self, key: tuple, value: object) -> None:
+        """Record one entry in L1 (evicting LRU) and in the store."""
+        if self.max_entries == 0:
+            return
+        with self._lock:
+            self._insert(key, value)
+        if self._store is not None:
+            self._store.put((self.namespace, key), value)
+
+    def absorb(self, items: Iterable[tuple[tuple, object]]) -> int:
+        """Merge entries computed elsewhere; returns how many were new.
+
+        New entries are written to the store too, so a speculative
+        worker's chunk becomes visible to the whole fleet.
+        """
+        if self.max_entries == 0:
+            return 0
+        added = []
+        with self._lock:
+            for key, value in items:
+                if key not in self._entries:
+                    self._insert(key, value)
+                    added.append((key, value))
+        if self._store is not None:
+            for key, value in added:
+                self._store.put((self.namespace, key), value)
+        return len(added)
+
+    def items(self) -> list[tuple[tuple, object]]:
+        """Snapshot of the L1 entries, least recently used first."""
+        with self._lock:
+            return list(self._entries.items())
+
+    def _insert(self, key: tuple, value: object) -> None:
+        # L1 writes must be serialized by the memo lock; the sanitizer
+        # verifies the discipline holds on every path that reaches here.
+        _san.expect_held(self._lock, "ContentMemo L1 insert")
+        if key not in self._entries:
+            self._on_resize(key, 1)
+        self._entries[key] = value
+        if self.max_entries is not None:
+            while len(self._entries) > self.max_entries:
+                evicted, _ = self._entries.popitem(last=False)
+                self._on_resize(evicted, -1)
+
+    def _on_miss(self, key: tuple) -> None:
+        """Hook: a lookup of ``key`` missed both levels (lock held)."""
+
+    def _on_resize(self, key: tuple, delta: int) -> None:
+        """Hook: ``key`` entered (+1) or left (-1) L1 (lock held)."""
+
+    @property
+    def stats(self) -> CacheStats:
+        """Current hit/miss/size counters."""
+        return CacheStats(
+            hits=self.hits,
+            misses=self.misses,
+            size=len(self._entries),
+            shared_hits=self.shared_hits,
+        )
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+
+class MeasurementCache(ContentMemo):
     """Content-addressed memoization of measurements.
 
     Keys are ``(scenario fingerprint, configuration, seed)``; a hit returns
     the exact :class:`Measurement` (immutable) the backend produced for
     that point, which — backends being deterministic per seed — is
     bit-identical to re-measuring.  Entries are evicted LRU beyond
-    ``max_entries``.
+    ``max_entries``; ``store`` adds the shared engine's cross-process L2
+    (``("meas", key)`` entries).
     """
 
-    def __init__(self, max_entries: Optional[int] = 100_000) -> None:
+    def __init__(
+        self,
+        max_entries: Optional[int] = 100_000,
+        store: Optional["SharedStore"] = None,
+    ) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
-        self.max_entries = max_entries
-        self._entries: OrderedDict[tuple, Measurement] = OrderedDict()
-        self._hits = 0
-        self._misses = 0
-        self._seed_cold_misses = 0
-        self._config_cold_misses = 0
-        self._shared_hits = 0
+        super().__init__(max_entries, "meas", store)
+        self.seed_cold_misses = 0
+        self.config_cold_misses = 0
         #: (fingerprint, configuration) → number of live seeds cached for it;
         #: used to slice misses into "cold by design" vs "cache broken".
         self._config_seeds: dict[tuple, int] = {}
@@ -433,18 +592,7 @@ class MeasurementCache:
         token: tuple = (),
     ) -> Optional[Measurement]:
         """The cached measurement for a point, or None (counts hit/miss)."""
-        key = self.key(scenario, configuration, seed, token)
-        entry = self._entries.get(key)
-        if entry is None:
-            self._misses += 1
-            if key[:2] in self._config_seeds:
-                self._seed_cold_misses += 1
-            else:
-                self._config_cold_misses += 1
-            return None
-        self._hits += 1
-        self._entries.move_to_end(key)
-        return entry
+        return self.get(self.key(scenario, configuration, seed, token))
 
     def store(
         self,
@@ -455,62 +603,42 @@ class MeasurementCache:
         token: tuple = (),
     ) -> None:
         """Record one measured point (evicting LRU beyond ``max_entries``)."""
-        self._insert(self.key(scenario, configuration, seed, token), measurement)
+        self.put(self.key(scenario, configuration, seed, token), measurement)
 
-    def _insert(self, key: tuple, measurement: Measurement) -> None:
-        """Key-level insert (the shared cache absorbs store hits via this)."""
-        if key not in self._entries:
-            base = key[:2]
-            self._config_seeds[base] = self._config_seeds.get(base, 0) + 1
-        self._entries[key] = measurement
-        if self.max_entries is not None:
-            while len(self._entries) > self.max_entries:
-                evicted, _ = self._entries.popitem(last=False)
-                base = evicted[:2]
-                remaining = self._config_seeds.get(base, 0) - 1
-                if remaining > 0:
-                    self._config_seeds[base] = remaining
-                else:
-                    self._config_seeds.pop(base, None)
+    def _on_miss(self, key: tuple) -> None:
+        if key[:2] in self._config_seeds:
+            self.seed_cold_misses += 1
+        else:
+            self.config_cold_misses += 1
+
+    def _on_resize(self, key: tuple, delta: int) -> None:
+        base = key[:2]
+        seeds = self._config_seeds.get(base, 0) + delta
+        if seeds > 0:
+            self._config_seeds[base] = seeds
+        else:
+            self._config_seeds.pop(base, None)
 
     @property
     def stats(self) -> CacheStats:
         """Current hit/miss/size counters (misses sliced by cause)."""
-        return CacheStats(
-            hits=self._hits,
-            misses=self._misses,
-            size=len(self._entries),
-            seed_cold_misses=self._seed_cold_misses,
-            config_cold_misses=self._config_cold_misses,
-            shared_hits=self._shared_hits,
+        return replace(
+            super().stats,
+            seed_cold_misses=self.seed_cold_misses,
+            config_cold_misses=self.config_cold_misses,
         )
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
-        self._entries.clear()
-        self._config_seeds.clear()
 
 
 class MemoizedBackend(PerformanceBackend):
-    """A backend wrapper that memoizes measurements.
-
-    ``enabled=False`` makes the wrapper fully transparent (every call goes
-    to the inner backend, nothing is cached) — the switch experiment
-    drivers expose as ``--no-cache``.
-    """
+    """A backend wrapper that memoizes measurements."""
 
     def __init__(
         self,
         backend: PerformanceBackend,
         cache: Optional[MeasurementCache] = None,
-        enabled: bool = True,
     ) -> None:
         self.backend = backend
         self.cache = cache if cache is not None else MeasurementCache()
-        self.enabled = enabled
 
     def measurement_cache_token(self) -> tuple:
         """Delegate to the wrapped backend (the cache keys on its token)."""
@@ -523,8 +651,6 @@ class MemoizedBackend(PerformanceBackend):
         seed: int = 0,
     ) -> Measurement:
         """Measure one point, serving repeats from the cache."""
-        if not self.enabled:
-            return self.backend.measure(scenario, configuration, seed=seed)
         token = self.backend.measurement_cache_token()
         hit = self.cache.lookup(scenario, configuration, seed, token)
         if hit is not None:
@@ -539,8 +665,6 @@ class MemoizedBackend(PerformanceBackend):
         requests: Sequence[tuple[Configuration, int]],
     ) -> list[Measurement]:
         """Measure a batch, forwarding only cache misses to the backend."""
-        if not self.enabled:
-            return self.backend.measure_batch(scenario, requests)
         token = self.backend.measurement_cache_token()
         results: list[Optional[Measurement]] = []
         missing: list[tuple[int, Configuration, int]] = []

@@ -10,10 +10,12 @@ invocation, so pool spawn and cold caches are paid once, not per run:
   keep their L1 caches across runs.
 * **A cross-process, cross-run cache.**  One
   :class:`~repro.parallel.store.SharedStore` (rebased onto a
-  ``multiprocessing.Manager`` dict when the fleet starts) backs the
-  solution and measurement memos of the parent *and* every worker: a
-  configuration solved anywhere is a hit everywhere, including in later
-  experiments of the same invocation.
+  ``multiprocessing.Manager`` dict when the fleet starts) is the second
+  level of the solution and measurement memos of the parent *and* every
+  worker: each persistent backend's two
+  :class:`~repro.model.base.ContentMemo` instances are built with
+  ``store=``, so a configuration solved anywhere is a hit everywhere,
+  including in later experiments of the same invocation.
 * **A serial in-process path.**  ``jobs=1`` plans (and plans nested
   inside a fleet worker) run spec by spec in plan order over the same
   persistent backend, so they reuse everything earlier runs cached.
@@ -37,14 +39,11 @@ from repro.faults.engine import (
     active_injector,
 )
 from repro.lint import sanitizer as _san
-from repro.model.base import MemoizedBackend
+from repro.model.analytic import AnalyticBackend
+from repro.model.base import MeasurementCache, MemoizedBackend
 from repro.parallel.plan import RunSpec
 from repro.parallel.stats import CacheStatsCapture, track_backend
-from repro.parallel.store import (
-    SharedAnalyticBackend,
-    SharedMeasurementCache,
-    SharedStore,
-)
+from repro.parallel.store import SharedStore
 
 __all__ = [
     "ENGINES",
@@ -210,9 +209,9 @@ class SharedEngine:
         if self._backend is None:
             with self._lock:
                 if self._backend is None:
-                    inner = SharedAnalyticBackend(self.store)
                     backend = MemoizedBackend(
-                        inner, cache=SharedMeasurementCache(self.store)
+                        AnalyticBackend(store=self.store),
+                        cache=MeasurementCache(store=self.store),
                     )
                     track_backend(backend)
                     self._backend = backend

@@ -25,9 +25,8 @@ for every worker and every later experiment, not just for this parent.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
-from repro.cluster.memory import MemoryModel
 from repro.harmony.parameter import Configuration
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import MemoizedBackend, PerformanceBackend, Scenario
@@ -36,29 +35,34 @@ from repro.parallel.plan import RunSpec
 
 __all__ = ["prefetch_frontier"]
 
+#: The :class:`AnalyticBackend` settings a chunk's solutions (and their
+#: memo keys, which carry the resolved approximation) depend on.  The
+#: noise model is not one: prefetching never draws noise.
+_SOLVER_SETTINGS = (
+    "memory",
+    "max_outer",
+    "damping",
+    "tol",
+    "solution_cache_size",
+    "approximation",
+    "fluid_population_threshold",
+    "hierarchy_node_threshold",
+    "max_exact_population",
+)
+
 
 def _prefetch_chunk(
     scenario: Scenario,
     configurations: Sequence[Configuration],
-    memory: MemoryModel,
-    max_outer: int,
-    damping: float,
-    tol: float,
-    cache_size: int,
+    settings: Mapping[str, Any],
 ):
     """Worker entry point: solve one frontier chunk on a fresh backend.
 
-    The fresh backend starts cold, so its exported memo is exactly the
-    chunk's solutions (the noise model is irrelevant — prefetching never
-    draws noise).
+    The fresh backend is built with the parent's solver settings and
+    starts cold, so its exported memo is exactly the chunk's solutions,
+    under the keys the parent will look them up by.
     """
-    backend = AnalyticBackend(
-        memory=memory,
-        max_outer=max_outer,
-        damping=damping,
-        tol=tol,
-        solution_cache_size=cache_size,
-    )
+    backend = AnalyticBackend(**settings)
     try:
         backend.prefetch_configs(scenario, configurations)
     except Exception:  # repro: noqa[RPL008] - advisory warm-up only
@@ -100,11 +104,7 @@ def prefetch_frontier(
             kwargs=dict(
                 scenario=scenario,
                 configurations=chunk,
-                memory=inner.memory,
-                max_outer=inner.max_outer,
-                damping=inner.damping,
-                tol=inner.tol,
-                cache_size=inner.solution_cache_size,
+                settings={name: getattr(inner, name) for name in _SOLVER_SETTINGS},
             ),
         )
         for i, chunk in enumerate(chunks)

@@ -82,9 +82,8 @@ def collect_cache_stats(backend: PerformanceBackend) -> Optional[dict[str, float
     stats: dict[str, float] = {}
     inner = backend
     if isinstance(backend, MemoizedBackend):
-        if backend.enabled:
-            for k, v in sorted(backend.stats.as_dict().items()):
-                stats[f"measurement_{k}"] = v
+        for k, v in sorted(backend.stats.as_dict().items()):
+            stats[f"measurement_{k}"] = v
         inner = backend.backend
     if isinstance(inner, AnalyticBackend):
         solution = inner.solution_cache_stats

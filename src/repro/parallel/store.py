@@ -1,7 +1,7 @@
 """The cross-worker, cross-run shared cache store.
 
-One :class:`SharedStore` backs both deterministic caches of the shared
-execution engine:
+One :class:`SharedStore` is the second level of both deterministic memos
+of the shared execution engine:
 
 * the analytic backend's solution memo (``("sol", key)`` entries), and
 * the measurement memo (``("meas", key)`` entries).
@@ -20,25 +20,22 @@ deterministic function of its key, which is what makes sharing safe:
 * a hit is bit-identical to a recompute, so cache topology can never
   change results, only wall-clock time.
 
-:class:`SharedMeasurementCache` and :class:`SharedAnalyticBackend` are the
-store-aware drop-ins for :class:`~repro.model.base.MeasurementCache` and
-:class:`~repro.model.analytic.AnalyticBackend`.  Both keep their inherited
-in-process structures as an L1 (no IPC on repeat lookups) and fall back to
-the store as an L2, absorbing L2 hits into L1.  Both are additionally
-thread-safe: every L1 access holds the instance's lock.
+Both memos are :class:`~repro.model.base.ContentMemo` instances given
+the store (``MeasurementCache(store=...)``, ``AnalyticBackend(store=...)``):
+each keeps its in-process LRU as an L1 (no IPC on repeat lookups), falls
+back to the store as an L2, and copies L2 hits into L1.  The memos count
+their own store probes (``shared_hits`` and ``misses``), so the store
+keeps no hit/miss counters of its own.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Mapping, MutableMapping, Optional, Sequence
+from typing import Mapping, MutableMapping, Optional
 
-from repro.harmony.parameter import Configuration
 from repro.lint import sanitizer as _san
-from repro.model.analytic import AnalyticBackend, AnalyticSolution
-from repro.model.base import Measurement, MeasurementCache, Scenario
 
-__all__ = ["SharedStore", "SharedMeasurementCache", "SharedAnalyticBackend"]
+__all__ = ["SharedStore"]
 
 
 class SharedStore:
@@ -58,8 +55,6 @@ class SharedStore:
         self._attached = False
         self.max_entries = max_entries
         self._puts = 0
-        self.hits = 0
-        self.misses = 0
         #: Corrupt persisted entries dropped on load (never served).
         self.quarantined = 0
 
@@ -119,16 +114,6 @@ class SharedStore:
 
     def get(self, key: tuple) -> Optional[object]:
         """The stored value, or None.  One IPC round-trip when attached."""
-        value = self._mapping().get(key)
-        with self._lock:
-            if value is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-        return value
-
-    def peek(self, key: tuple) -> Optional[object]:
-        """Like :meth:`get` but without touching the hit/miss counters."""
         return self._mapping().get(key)
 
     def put(self, key: tuple, value: object) -> None:
@@ -167,156 +152,9 @@ class SharedStore:
         with self._lock:
             return {
                 "entries": float(len(self._data)),
-                "hits": float(self.hits),
-                "misses": float(self.misses),
                 "attached": float(self._attached),
                 "quarantined": float(self.quarantined),
             }
 
     def __len__(self) -> int:
         return len(self._data)
-
-
-class SharedMeasurementCache(MeasurementCache):
-    """A measurement memo with the shared store as its second level.
-
-    L1 is the inherited in-process LRU; an L1 miss consults the store and
-    absorbs any hit locally (counted as a hit *and* a ``shared_hit``).
-    Stores publish to both levels.  Thread-safe: L1 reads and writes
-    hold the cache lock.
-    """
-
-    def __init__(
-        self, store: SharedStore, max_entries: Optional[int] = 100_000
-    ) -> None:
-        super().__init__(max_entries)
-        self._shared = store
-        self._lock = _san.wrap_lock(
-            "SharedMeasurementCache._lock", threading.RLock()
-        )
-
-    def _insert(self, key: tuple, measurement: Measurement) -> None:
-        # L1 writes must be serialized by the cache lock; the sanitizer
-        # verifies the discipline holds on every path that reaches here.
-        _san.expect_held(self._lock, "SharedMeasurementCache L1 insert")
-        super()._insert(key, measurement)
-
-    def lookup(
-        self,
-        scenario: Scenario,
-        configuration: Configuration,
-        seed: int,
-        token: tuple = (),
-    ) -> Optional[Measurement]:
-        key = self.key(scenario, configuration, seed, token)
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._hits += 1
-                self._entries.move_to_end(key)
-                return entry
-        # Store probe outside the lock: it may be an IPC round-trip, and
-        # a racing thread publishing the same key writes identical bytes.
-        entry = self._shared.get(("meas", key))
-        with self._lock:
-            if entry is not None:
-                if _san.active():
-                    _san.check_coherent(
-                        "measurement L1/L2", key, self._entries.get(key), entry
-                    )
-                self._hits += 1
-                self._shared_hits += 1
-                self._insert(key, entry)
-                return entry
-            self._misses += 1
-            if key[:2] in self._config_seeds:
-                self._seed_cold_misses += 1
-            else:
-                self._config_cold_misses += 1
-        return None
-
-    def store(
-        self,
-        scenario: Scenario,
-        configuration: Configuration,
-        seed: int,
-        measurement: Measurement,
-        token: tuple = (),
-    ) -> None:
-        key = self.key(scenario, configuration, seed, token)
-        with self._lock:
-            self._insert(key, measurement)
-        self._shared.put(("meas", key), measurement)
-
-    def clear(self) -> None:
-        with self._lock:
-            super().clear()
-
-
-class SharedAnalyticBackend(AnalyticBackend):
-    """An analytic backend whose solution memo spans workers and runs.
-
-    The inherited per-process LRU stays as L1; misses consult the shared
-    store and absorb hits (counted as solution ``shared_hits``).  Puts
-    publish to both levels.  All memo accesses are lock-protected.
-    """
-
-    def __init__(self, store: SharedStore, **kwargs: object) -> None:
-        super().__init__(**kwargs)  # type: ignore[arg-type]
-        self._shared = store
-        self._memo_lock = _san.wrap_lock(
-            "SharedAnalyticBackend._memo_lock", threading.RLock()
-        )
-
-    # -- memo: L1 (inherited, locked) over L2 (store) -------------------
-    def _solution_get(self, key: tuple) -> Optional[AnalyticSolution]:
-        if self.solution_cache_size == 0:
-            return None
-        with self._memo_lock:
-            sol = self._solution_cache.get(key)
-            if sol is not None:
-                self._solution_hits += 1
-                self._solution_cache.move_to_end(key)
-                return sol
-        sol = self._shared.get(("sol", key))
-        with self._memo_lock:
-            if sol is None:
-                self._solution_misses += 1
-            else:
-                if _san.active():
-                    _san.check_coherent(
-                        "solution L1/L2", key, self._solution_cache.get(key), sol
-                    )
-                self._solution_hits += 1
-                self._solution_shared_hits += 1
-                super()._solution_put(key, sol)
-        return sol
-
-    def _solution_peek(self, key: tuple) -> Optional[AnalyticSolution]:
-        if self.solution_cache_size == 0:
-            return None
-        with self._memo_lock:
-            sol = self._solution_cache.get(key)
-        if sol is None:
-            sol = self._shared.peek(("sol", key))
-        return sol
-
-    def _solution_put(self, key: tuple, solution: AnalyticSolution) -> None:
-        if self.solution_cache_size == 0:
-            return
-        with self._memo_lock:
-            super()._solution_put(key, solution)
-        self._shared.put(("sol", key), solution)
-
-    def export_solutions(self) -> list[tuple[tuple, AnalyticSolution]]:
-        with self._memo_lock:
-            return super().export_solutions()
-
-    def absorb_solutions(
-        self, items: Sequence[tuple[tuple, AnalyticSolution]]
-    ) -> int:
-        # Absorbed solutions go through _solution_put, so they are also
-        # published to the store — a speculative worker's chunk becomes
-        # visible to the whole fleet, not just this process.
-        with self._memo_lock:
-            return super().absorb_solutions(items)

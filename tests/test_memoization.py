@@ -6,15 +6,21 @@ treat content-equal scenarios as equal while separating anything that
 could change a measurement.
 """
 
+import pickle
+import sys
+import threading
+
 import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import (
+    ContentMemo,
     MeasurementCache,
     MemoizedBackend,
     Scenario,
 )
+from repro.parallel.store import SharedStore
 from repro.tpcw.interactions import BROWSING_MIX, SHOPPING_MIX
 from repro.util.rng import derive_seed
 
@@ -65,6 +71,81 @@ class TestScenarioFingerprint:
         assert Scenario(**kwargs).fingerprint() != scenario.fingerprint()
 
 
+class TestContentMemo:
+    def test_store_hit_is_a_shared_hit_and_lands_in_l1(self):
+        store = SharedStore()
+        store.put(("sol", ("k",)), "v")
+        memo = ContentMemo(8, "sol", store)
+        assert memo.get(("k",)) == "v"
+        assert (memo.hits, memo.shared_hits, memo.misses) == (1, 1, 0)
+        assert memo.items() == [(("k",), "v")]
+        assert memo.get(("k",)) == "v"  # now served by L1
+        assert (memo.hits, memo.shared_hits) == (2, 1)
+        assert memo.get(("other",)) is None
+        assert memo.misses == 1
+
+    def test_peek_leaves_counters_and_lru_order_alone(self):
+        memo = ContentMemo(2, "sol")
+        memo.put(("a",), 1)
+        memo.put(("b",), 2)
+        assert memo.peek(("a",)) == 1
+        assert memo.peek(("c",)) is None
+        assert (memo.hits, memo.misses) == (0, 0)
+        memo.put(("c",), 3)  # evicts "a": the peek did not refresh it
+        assert [key for key, _ in memo.items()] == [("b",), ("c",)]
+
+    def test_zero_entries_disable_the_memo(self):
+        store = SharedStore()
+        memo = ContentMemo(0, "sol", store)
+        memo.put(("k",), 1)
+        assert memo.get(("k",)) is None
+        assert memo.peek(("k",)) is None
+        assert memo.absorb([(("k",), 1)]) == 0
+        assert memo.stats.lookups == 0
+        assert len(memo) == 0 and len(store) == 0
+
+    def test_absorb_counts_new_entries_and_writes_the_store(self):
+        store = SharedStore()
+        memo = ContentMemo(8, "sol", store)
+        memo.put(("a",), 1)
+        assert memo.absorb([(("a",), 1), (("b",), 2)]) == 1
+        assert memo.peek(("b",)) == 2
+        assert store.get(("sol", ("b",))) == 2
+        assert memo.stats.lookups == 0
+
+    def test_threaded_storm_loses_no_update(self):
+        memo = ContentMemo(None, "sol", SharedStore())
+        added = [0] * 8
+        errors: list = []
+
+        def storm(worker):
+            try:
+                for i in range(1000):
+                    key = (i,)  # every thread races for every key
+                    if memo.get(key) is None:
+                        added[worker] += memo.absorb([(key, key[0] * 2)])
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=storm, args=(w,)) for w in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        # Each key enters L1 exactly once, however the threads interleave:
+        # an unguarded check-then-insert counts a racing key twice.
+        assert sum(added) == len(memo) == 1000
+        assert memo.hits + memo.misses == 8 * 1000
+        assert all(value == key[0] * 2 for key, value in memo.items())
+
+
 class TestMeasurementCache:
     def test_hit_returns_stored_measurement(self, scenario, default_config):
         cache = MeasurementCache()
@@ -102,13 +183,17 @@ class TestMemoizedBackend:
         memo.measure(scenario, default_config, seed=7)
         assert memo.measure(scenario, default_config, seed=7) == fresh
 
-    def test_disabled_wrapper_is_transparent(self, scenario, default_config):
-        memo = MemoizedBackend(AnalyticBackend(), enabled=False)
-        a = memo.measure(scenario, default_config, seed=7)
-        b = memo.measure(scenario, default_config, seed=7)
-        assert a == b
-        assert a is not b  # nothing cached
-        assert memo.stats.lookups == 0
+    def test_pickle_round_trip(self, scenario, default_config):
+        memo = MemoizedBackend(AnalyticBackend())
+        first = memo.measure(scenario, default_config, seed=7)
+        clone = pickle.loads(pickle.dumps(memo))
+        assert clone.measure(scenario, default_config, seed=7) == first
+        assert clone.stats.hits == 1
+        # The rebuilt locks guard real inserts: a fresh seed misses the
+        # measurement memo and hits the copied solution memo.
+        clone.measure(scenario, default_config, seed=8)
+        assert clone.stats.misses == 2
+        assert clone.backend.solution_cache_stats.hits == 1
 
     def test_batch_forwards_only_misses(self, scenario, default_config):
         memo = MemoizedBackend(AnalyticBackend())

@@ -16,7 +16,8 @@ from __future__ import annotations
 import threading
 
 from repro.lint import sanitizer as san
-from repro.parallel.store import SharedMeasurementCache, SharedStore
+from repro.model.base import MeasurementCache
+from repro.parallel.store import SharedStore
 
 
 def rules_of(captured):
@@ -232,7 +233,7 @@ def test_condition_wait_releases_and_reacquires_tracked_lock():
 # ----------------------------------------------------------------------
 def test_measurement_cache_insert_requires_lock():
     with san.scope() as captured:
-        cache = SharedMeasurementCache(SharedStore())
+        cache = MeasurementCache(store=SharedStore())
         cache._insert(("k",), object())  # bypasses the lock: violation
         with cache._lock:
             cache._insert(("k2",), object())  # disciplined path: clean

@@ -7,13 +7,17 @@ compare exactly ``==`` against the serial session at every strategy,
 scheme, backend and jobs setting.  No tolerances anywhere in this file.
 """
 
+import inspect
+
+import numpy as np
 import pytest
 
 from repro.cluster.topology import ClusterSpec
 from repro.des.backend import SimulationBackend
 from repro.harmony.speculate import SpeculativeEvaluator
-from repro.model.analytic import AnalyticBackend
+from repro.model.analytic import APPROXIMATIONS, AnalyticBackend
 from repro.model.base import MemoizedBackend, Scenario
+from repro.parallel import frontier
 from repro.tpcw.interactions import SHOPPING_MIX
 from repro.tuning.session import ClusterTuningSession, make_scheme
 from repro.util.rng import derive_seed
@@ -108,6 +112,36 @@ class TestBitIdentity:
             lambda: SimulationBackend(time_scale=0.02),
         )
         assert results[True][0] == results[False][0]
+
+
+class TestFleetPrefetch:
+    """Worker chunks must solve under the keys the parent looks up."""
+
+    @pytest.mark.parametrize("approximation", APPROXIMATIONS)
+    def test_jobs_2_prefetch_is_hit_by_the_parent(self, approximation):
+        scenario = Scenario(
+            cluster=ClusterSpec.three_tier(1, 1, 1),
+            mix=SHOPPING_MIX,
+            population=750,
+        )
+        space = scenario.cluster.full_space()
+        configs = [
+            space.random_configuration(
+                np.random.default_rng(derive_seed(23, "prefetch", i))
+            )
+            for i in range(4)
+        ]
+        backend = AnalyticBackend(approximation=approximation)
+        assert frontier.prefetch_frontier(backend, scenario, configs, jobs=2) == 4
+        backend.measure_batch(scenario, [(cfg, 0) for cfg in configs])
+        stats = backend.solution_cache_stats
+        assert (stats.hits, stats.misses) == (4, 0)
+
+    def test_chunks_get_every_solver_setting(self):
+        parameters = set(inspect.signature(AnalyticBackend).parameters)
+        # The noise model never reaches a prefetch, and the store is a
+        # cache level, not a solver setting.
+        assert set(frontier._SOLVER_SETTINGS) == parameters - {"noise", "store"}
 
 
 class TestWasteAccounting:
