@@ -104,7 +104,7 @@ def test_scale_axis(report):
     assert exact_vs_fluid >= 100.0
     # Population independence: the fluid solve at N=10^9 costs no more
     # than a small multiple of the N=10^3 solve (both are a handful of
-    # bisection steps; 5x absorbs timer noise on loaded CI hosts).
+    # Newton steps; 5x absorbs timer noise on loaded CI hosts).
     assert t_fluid[10**9] <= t_fluid[1_000] * 5.0 + 1e-4
 
     # --- arm B: accuracy on a small wide topology ------------------------

@@ -128,7 +128,7 @@ def sweep_parameter(
 
     # Gather every (configuration, seed) point of the sweep up front and
     # measure them as one batch: backends that amortize work across points
-    # (vectorized MVA, solution reuse between noise repeats) then see the
+    # (batched MVA, solution reuse between noise repeats) then see the
     # whole sweep at once.  Results come back in request order, so the
     # statistics below fold in exactly the order the per-point loop used.
     requests: list[tuple[Configuration, int]] = [

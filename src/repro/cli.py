@@ -141,8 +141,7 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "MVA approximation level: auto picks fluid and/or hierarchical "
             "aggregation from population and cluster width; exact forces "
-            "the per-node Schweitzer solve and refuses huge populations "
-            "(default: auto)"
+            "the per-node Schweitzer solve (default: auto)"
         ),
     )
     parser.add_argument("--seed", type=int, default=0, help="root random seed")
@@ -155,21 +154,6 @@ def _scenario(args: argparse.Namespace) -> Scenario:
         mix=STANDARD_MIXES[args.mix],
         population=args.population,
     )
-
-
-def _backend(args: argparse.Namespace, scenario: Scenario, **kwargs):
-    """An :class:`AnalyticBackend` honouring ``--approximation``.
-
-    Mode resolution runs eagerly so that ``--approximation exact`` with a
-    huge ``--population`` dies with a parser error in milliseconds, not
-    hours into an O(N) exact solve.
-    """
-    backend = AnalyticBackend(approximation=args.approximation, **kwargs)
-    try:
-        backend.resolve_modes(scenario.cluster, scenario.population)
-    except ValueError as exc:
-        raise SystemExit(f"repro: error: {exc}")
-    return backend
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -377,7 +361,9 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
     scenario = _scenario(args)
     session = ClusterTuningSession(
-        _backend(args, scenario), scenario, seed=args.seed
+        AnalyticBackend(approximation=args.approximation),
+        scenario,
+        seed=args.seed,
     )
     stats = session.measure_baseline(iterations=args.repeats).window_stats(0)
     print(
@@ -394,7 +380,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
     scenario = _scenario(args)
     _apply_durability(args)
-    backend = _backend(args, scenario)
+    backend = AnalyticBackend(approximation=args.approximation)
     resilience = None
     plan = None
     if args.faults:
@@ -488,8 +474,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
     scenario = _scenario(args)
     names = args.params.split(",") if args.params else None
     report = sensitivity_report(
-        _backend(args, scenario), scenario, names=names,
-        points=args.points, repeats=args.repeats, seed=args.seed,
+        AnalyticBackend(approximation=args.approximation), scenario,
+        names=names, points=args.points, repeats=args.repeats, seed=args.seed,
     )
     print(report.to_table(top=args.top))
     return 0
@@ -609,7 +595,9 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
     scenario = _scenario(args)
     cfg = scenario.cluster.default_configuration()
-    analytic = _backend(args, scenario, noise=NoiseModel(0.0, 0.0, 0.0))
+    analytic = AnalyticBackend(
+        approximation=args.approximation, noise=NoiseModel(0.0, 0.0, 0.0)
+    )
     des = SimulationBackend(
         time_scale=args.time_scale,
         replications=args.replications,

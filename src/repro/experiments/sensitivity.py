@@ -126,7 +126,7 @@ def run(
 
     The three per-mix sweeps are independent and fan over ``cfg.jobs``
     workers; within each sweep the points go to the backend as one batch
-    (vectorized MVA + noise-repeat solution reuse).  Reports are
+    (batched MVA + noise-repeat solution reuse).  Reports are
     bit-identical at every jobs setting.
     """
     cfg = config or ExperimentConfig()

@@ -17,7 +17,7 @@ collects every tuning group's frontier via
 per-group candidate fragments into full cluster configurations (candidate
 for one group, the currently-asked fragment for every other), and warms
 the backend's deterministic solution cache for the whole batch in one
-vectorized solve (:func:`repro.parallel.frontier.prefetch_frontier`,
+batched solve (:func:`repro.parallel.frontier.prefetch_frontier`,
 fanned over workers under ``--jobs``).  The serial ask/tell sequence then
 commits exactly the candidate it always would — speculated solves it
 never asks for stay in the cache as wasted warmth, never observable.
@@ -111,7 +111,7 @@ class SpeculativeEvaluator:
         ``fragments`` are the per-group configurations the session just
         fetched (the asks about to be measured).  The submitted batch
         always includes the fused *current* configuration, so this step's
-        own solve rides the same vectorized batch as the lookahead.
+        own solve rides the same batch as the lookahead.
 
         The session asks every group once per step, so each group's
         :meth:`~repro.harmony.search.SearchStrategy.speculate` forecast is

@@ -15,10 +15,11 @@ The result is deterministic; the configured :class:`NoiseModel` then turns
 the model throughput into one noisy "measured" WIPS per seed, exactly the
 signal the Harmony server consumes.
 
-Because step 2 dominates, every solve is batched:
+Step 2 finds the root of one scalar population equation per network
+(:func:`repro.model.mva.solve_mva_batch`, a few Newton steps at any N).
 :meth:`AnalyticBackend.solve_tasks_multi` runs the outer fixed point for
 many tasks in lockstep, submitting every active task's network to
-:func:`repro.model.mva.solve_mva_batch` as one solve per outer
+:func:`repro.model.mva.solve_mva_batch` as one call per outer
 iteration.  Each task's trajectory is independent (converged ones are
 frozen), so a task's solution does not depend on what else shares its
 batch.  :meth:`AnalyticBackend.measure_batch` builds on it,
@@ -64,7 +65,7 @@ NETWORK_RTT = 5e-3
 #: Valid values of :class:`AnalyticBackend`'s ``approximation`` knob.
 #:
 #: - ``"exact"``       — per-node Schweitzer AMVA, the pre-scale-axis
-#:   behaviour (refuses populations beyond ``max_exact_population``);
+#:   behaviour (its cost does not grow with the population);
 #: - ``"fluid"``       — the O(stations), population-independent
 #:   mean-field solve of :mod:`repro.model.fluid`;
 #: - ``"hierarchical"`` — one representative station per homogeneous
@@ -266,7 +267,6 @@ class AnalyticBackend(PerformanceBackend):
         approximation: str = "auto",
         fluid_population_threshold: int = 50_000,
         hierarchy_node_threshold: int = 16,
-        max_exact_population: int = 200_000,
         store: Optional["SharedStore"] = None,
     ) -> None:
         if not 0.0 < damping <= 1.0:
@@ -282,12 +282,9 @@ class AnalyticBackend(PerformanceBackend):
             raise ValueError("fluid_population_threshold must be >= 1")
         if hierarchy_node_threshold < 1:
             raise ValueError("hierarchy_node_threshold must be >= 1")
-        if max_exact_population < 1:
-            raise ValueError("max_exact_population must be >= 1")
         self.approximation = approximation
         self.fluid_population_threshold = fluid_population_threshold
         self.hierarchy_node_threshold = hierarchy_node_threshold
-        self.max_exact_population = max_exact_population
         self.noise = noise if noise is not None else NoiseModel()
         self.memory = memory or MemoryModel()
         self.max_outer = max_outer
@@ -319,28 +316,14 @@ class AnalyticBackend(PerformanceBackend):
 
         Returns ``(use_fluid, use_hierarchical)``.  ``"auto"`` engages
         the fluid solver once the population reaches
-        ``fluid_population_threshold`` (below it Schweitzer is both cheap
-        and more accurate) and tier aggregation once the cluster reaches
+        ``fluid_population_threshold`` (below it Schweitzer is more
+        accurate; both cost a few Newton steps per network at any N) and
+        tier aggregation once the cluster reaches
         ``hierarchy_node_threshold`` nodes (below it there is nothing
-        worth collapsing).  ``"exact"`` refuses populations beyond
-        ``max_exact_population`` outright — at that scale the Schweitzer
-        fixed point needs thousands of iterations per outer round and a
-        tuning run would take hours; the error names the knobs to turn
-        instead of letting the caller find out the slow way.
+        worth collapsing).  ``"exact"`` is Schweitzer on every node at
+        any population.
         """
         mode = self.approximation
-        if mode == "exact":
-            if population > self.max_exact_population:
-                raise ValueError(
-                    f"approximation='exact' refuses population="
-                    f"{population} (> max_exact_population="
-                    f"{self.max_exact_population}): the exact solve cost "
-                    f"grows with N and this would effectively hang.  Use "
-                    f"approximation='fluid' (or 'auto') for large "
-                    f"populations, or raise max_exact_population if you "
-                    f"really mean it."
-                )
-            return False, False
         if mode == "auto":
             return (
                 population >= self.fluid_population_threshold,
@@ -382,13 +365,10 @@ class AnalyticBackend(PerformanceBackend):
         (freezing changes which rounds run, never their values), so a
         task's solution is bit-identical whatever else shares its batch.
 
-        Every size runs through :func:`solve_mva_batch`: a group of a
-        few rows (per method and station count; ``_ROW_KERNEL_MAX`` in
-        :mod:`repro.model.mva`) runs its scalar-python row kernel, and a
-        larger Schweitzer group hands its last few active rows to the
-        same row loop, so one-task sets pay no per-call array overhead.
-        Identical results either way — the kernels are bit-identical by
-        contract.
+        :func:`solve_mva_batch` solves every row alone, Schweitzer or
+        fluid, with one root-finding kernel, so a one-task set costs the
+        same per row as a large batch and a row's result never depends
+        on its batch.
 
         Thread and connection pools enter the MVA as multi-server stations
         whose per-interaction demand is ``visits × holding time``, where the

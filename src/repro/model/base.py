@@ -227,7 +227,7 @@ class PerformanceBackend(abc.ABC):
         Results are returned in request order and are identical to calling
         :meth:`measure` on each point.  Backends that can amortize work
         across points override this (the analytic backend solves all
-        distinct configurations in one vectorized MVA batch); the default
+        distinct configurations in one MVA batch); the default
         is the plain serial loop.
         """
         return [self.measure(scenario, cfg, seed=seed) for cfg, seed in requests]
@@ -245,7 +245,7 @@ class PerformanceBackend(abc.ABC):
         prefetch are bit-identical to measurements without one — the only
         effect is that later :meth:`measure` calls may hit a warm cache.
         The analytic backend overrides this to solve the whole frontier in
-        one vectorized MVA batch.
+        one MVA batch.
         """
         return 0
 

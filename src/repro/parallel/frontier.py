@@ -47,7 +47,6 @@ _SOLVER_SETTINGS = (
     "approximation",
     "fluid_population_threshold",
     "hierarchy_node_threshold",
-    "max_exact_population",
 )
 
 

@@ -206,13 +206,6 @@ class TestScaleCli:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["baseline", "--approximation", "magic"])
 
-    def test_exact_refuses_huge_population_fast(self, capsys):
-        # Fail-fast guard: no hours-long exact solve, a clear error.
-        with pytest.raises(SystemExit) as exc:
-            main(["baseline", "--population", "1m",
-                  "--approximation", "exact"])
-        assert "refuses population" in str(exc.value)
-
     def test_scale_is_a_known_experiment(self):
         args = build_parser().parse_args(["experiment", "scale"])
         assert args.name == "scale"

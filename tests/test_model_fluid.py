@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.model import mva
 from repro.model.fluid import solve_mva_fluid
 from repro.model.mva import (
     MvaNetwork,
@@ -12,7 +11,11 @@ from repro.model.mva import (
     solve_mva_batch,
     solve_mva_exact,
 )
-from tests.test_mva_batch import random_network, result_bits, solve_in_row_groups
+from tests.test_mva_batch import (
+    assert_matches_reference,
+    random_network,
+    result_bits,
+)
 
 #: Station sets for the parametrized exact-vs-fluid comparisons.
 MIXES = {
@@ -135,13 +138,10 @@ class TestDegenerates:
 class TestBatchConsistency:
     def test_batch_matches_scalar(self):
         # Fluid rows in a batch must equal the scalar solver bit for bit.
-        # The scalar solver runs the row kernel; a batch above the
-        # row-kernel cutoff runs the vectorized one.
         nets = [
             MvaNetwork(tuple(MIXES["balanced"]), n, 1.0, method="fluid")
             for n in (10, 500, 100_000, 1, 40, 2_000, 10**6, 10**9)
         ]
-        assert len(nets) > mva._ROW_KERNEL_MAX
         batch = solve_mva_batch(nets)
         for net, got in zip(nets, batch):
             ref = solve_mva_fluid(
@@ -156,14 +156,11 @@ class TestBatchConsistency:
     def test_randomized_rows_bit_identical(self, seed):
         # Random fluid rows of one station count, plus pure-delay rows
         # (no queueing demand; one with no delay at all, whose throughput
-        # is inf): the row kernel, alone and in small groups, must equal
-        # the vectorized kernel on the whole group, field for field.
+        # is inf): each row through the scalar entry point, i.e. alone,
+        # must equal the whole batch, field for field.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(129, 301) if seed % 4 == 3 else rng.integers(1, 41))
-        nets = [
-            random_network(rng, n, method="fluid")
-            for _ in range(2 * mva._ROW_KERNEL_MAX)
-        ]
+        nets = [random_network(rng, n, method="fluid") for _ in range(12)]
         idle = tuple(
             Station(f"s{j}", 0.0, servers=int(rng.integers(1, 5)),
                     multiplicity=int(rng.integers(1, 9)))
@@ -173,8 +170,7 @@ class TestBatchConsistency:
             MvaNetwork(idle, 1000, 2.0, 0.1, method="fluid"),
             MvaNetwork(idle, 7, 0.0, method="fluid"),
         ]
-        vectorized = solve_mva_batch(nets)
-        rows = solve_in_row_groups(nets)
+        batch = solve_mva_batch(nets)
         scalar = [
             solve_mva_fluid(
                 list(net.stations), net.population, net.think_time,
@@ -182,29 +178,26 @@ class TestBatchConsistency:
             )
             for net in nets
         ]
-        assert vectorized[-1].throughput == float("inf")
-        want = [result_bits(r) for r in vectorized]
-        assert [result_bits(r) for r in rows] == want
-        assert [result_bits(r) for r in scalar] == want
+        assert batch[-1].throughput == float("inf")
+        assert [result_bits(r) for r in scalar] == [
+            result_bits(r) for r in batch
+        ]
 
     def test_mixed_methods_batch(self):
-        # Schweitzer and fluid rows mix in one batch; each row matches
-        # its scalar reference exactly.
+        # Schweitzer and fluid rows mix in one batch: the Schweitzer rows
+        # sit within tolerance of the iterating solver, the fluid row
+        # equals its scalar entry point exactly.
         nets = [
             MvaNetwork(tuple(MIXES["balanced"]), 100, 1.0),
             MvaNetwork(tuple(MIXES["bottleneck"]), 50_000, 1.0, method="fluid"),
             MvaNetwork(tuple(MIXES["skewed"]), 200, 1.0),
         ]
         batch = solve_mva_batch(nets)
-        assert batch[0].throughput == solve_mva(
-            list(nets[0].stations), 100, 1.0
-        ).throughput
+        assert_matches_reference(batch[0], nets[0])
         assert batch[1].throughput == solve_mva_fluid(
             list(nets[1].stations), 50_000, 1.0
         ).throughput
-        assert batch[2].throughput == solve_mva(
-            list(nets[2].stations), 200, 1.0
-        ).throughput
+        assert_matches_reference(batch[2], nets[2])
 
     def test_method_validation(self):
         with pytest.raises(ValueError):

@@ -7,10 +7,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.model.mva import Station, solve_mva
+from repro.model.mva import (
+    MVA_METHODS,
+    MvaNetwork,
+    Station,
+    solve_mva,
+    solve_mva_batch,
+)
 from repro.model.pools import mmck
 from repro.tpcw.catalog import Catalog
 from repro.util.stats import RunningStats
+from tests.test_mva_batch import random_network, rel_err
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -85,6 +92,81 @@ class TestMvaProperties:
         x1 = solve_mva(stations, n, 1.0).throughput
         x2 = solve_mva(stations, n + 10, 1.0).throughput
         assert x2 >= x1 - 1e-6
+
+
+#: Populations the root-kernel invariants sweep, 1 to 10^6.
+POPULATIONS = (1, 2, 3, 5, 10, 30, 100, 300, 1000, 3000, 10**4, 10**5, 10**6)
+
+
+def _sweep(net: MvaNetwork, method: str) -> list:
+    """``net`` solved by ``method`` at every population of the sweep."""
+    return solve_mva_batch([
+        MvaNetwork(net.stations, n, net.think_time, net.extra_delay, method)
+        for n in POPULATIONS
+    ])
+
+
+class TestRootKernelInvariants:
+    """Textbook invariants of :func:`solve_mva_batch`, both methods, on
+    seeded random rows at populations from 1 to 10^6."""
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_bounds_monotonicity_and_ordering(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        for _ in range(30):
+            net = random_network(rng)
+            stations = net.stations
+            # Z + Σ m·D with D the whole demand: Seidmann parts included.
+            delay = net.think_time + net.extra_delay + sum(
+                s.multiplicity * s.demand for s in stations
+            )
+            if not delay > 0.0:  # no delay anywhere: X is inf
+                continue
+            d_max = max((s.demand / s.servers for s in stations), default=0.0)
+            solved = {method: _sweep(net, method) for method in MVA_METHODS}
+            for method, results in solved.items():
+                previous = 0.0
+                for n, res in zip(POPULATIONS, results):
+                    x = res.throughput
+                    c = 1.0 if method == "fluid" else (n - 1) / n
+                    assert x <= n / delay * (1 + 1e-12), (method, n)
+                    assert c * x * d_max < 1.0, (method, n)
+                    # Unclamped bottleneck utilization, so U <= 1.
+                    assert x * d_max <= 1.0 + 1e-12, (method, n)
+                    assert x >= previous * (1 - 1e-12), (method, n)
+                    assert all(q >= 0.0 for q in res.queue.values())
+                    previous = x
+            for fluid, schweitzer in zip(solved["fluid"], solved["schweitzer"]):
+                assert fluid.throughput <= schweitzer.throughput * (1 + 1e-12)
+
+    @pytest.mark.parametrize("method", MVA_METHODS)
+    def test_replicas_equal_multiplicity(self, method):
+        # A station of multiplicity k and k explicit copies of it are
+        # the same network.
+        rng = np.random.default_rng(7)
+        checked = 0
+        while checked < 12:
+            net = random_network(rng, n=int(rng.integers(1, 13)))
+            if all(s.multiplicity == 1 for s in net.stations):
+                continue
+            checked += 1
+            copies = tuple(
+                Station(f"{s.name}.{i}", s.demand, s.servers)
+                for s in net.stations
+                for i in range(s.multiplicity)
+            )
+            flat_net = MvaNetwork(copies, 1, net.think_time, net.extra_delay)
+            for n, agg, flat in zip(
+                POPULATIONS, _sweep(net, method), _sweep(flat_net, method)
+            ):
+                assert rel_err(flat.throughput, agg.throughput) <= 1e-12
+                assert rel_err(flat.response_time, agg.response_time) <= 1e-12
+                for s in net.stations:
+                    for field in ("residence", "queue", "utilization"):
+                        want = getattr(agg, field)[s.name]
+                        for i in range(s.multiplicity):
+                            got = getattr(flat, field)[f"{s.name}.{i}"]
+                            assert rel_err(got, want) <= 1e-12, (field, n)
 
 
 class TestMmckProperties:

@@ -100,16 +100,20 @@ class TestApproximationKnob:
             backend = AnalyticBackend(approximation=mode)
             assert backend.resolve_modes(cluster, 100) == expected
 
-    def test_exact_refuses_huge_population(self):
-        backend = AnalyticBackend(approximation="exact")
-        cluster = ClusterSpec.three_tier(1, 1, 1)
-        with pytest.raises(ValueError, match="refuses population"):
-            backend.resolve_modes(cluster, 1_000_000)
-        # ... and the limit is adjustable for those who mean it.
-        lenient = AnalyticBackend(
-            approximation="exact", max_exact_population=10**9
-        )
-        lenient.resolve_modes(cluster, 1_000_000)
+    def test_exact_serves_huge_population(self):
+        # The exact solve costs a few Newton steps per network at any N,
+        # so a million browsers need no fluid fallback; there the two
+        # methods differ by O(1/N).
+        cluster = ClusterSpec.wide(8, 8, 2)
+        scenario = _scenario(cluster, population=1_000_000)
+        cfg = cluster.default_configuration()
+        kwargs = {"noise": NoiseModel(0.0, 0.0, 0.0)}
+        exact = AnalyticBackend(approximation="exact", **kwargs)
+        fluid = AnalyticBackend(approximation="fluid", **kwargs)
+        m_e = exact.measure(scenario, cfg, seed=0)
+        m_f = fluid.measure(scenario, cfg, seed=0)
+        assert m_e.diagnostics["solver.fluid"] == 0.0
+        assert m_e.wips == pytest.approx(m_f.wips, rel=1e-5)
 
     def test_auto_matches_exact_below_thresholds(self):
         # Below both thresholds "auto" must reproduce the exact path bit
