@@ -8,8 +8,11 @@ Solving one configuration proceeds as an outer fixed point:
 3. layer M/M/c/K waiting/blocking for the thread and connection pools onto
    the solution (pool waits become extra per-cycle delay; blocking becomes
    failed interactions),
-4. refresh the concurrency estimates from the queue lengths and pool
-   occupancies, damped, and repeat until throughput stabilizes.
+4. step the pool holding times and concurrency estimates toward the
+   values the queue lengths and pool occupancies imply, and repeat until
+   throughput stabilizes.  The step starts at 0.5 and halves whenever the
+   residual reverses direction, so the cycles a fixed step falls into
+   converge instead of ending at the round cap.
 
 The result is deterministic; the configured :class:`NoiseModel` then turns
 the model throughput into one noisy "measured" WIPS per seed, exactly the
@@ -61,6 +64,13 @@ __all__ = ["AnalyticBackend", "AnalyticSolution", "APPROXIMATIONS"]
 
 #: Fixed per-interaction network round-trip overhead (LAN latencies).
 NETWORK_RTT = 5e-3
+
+#: Outer fixed point: the round cap, the step every solve starts with, the
+#: floor its halving stops at, and the relative convergence tolerance.
+MAX_OUTER = 100
+INITIAL_STEP = 0.5
+MIN_STEP = 0.01
+TOL = 2e-4
 
 #: Valid values of :class:`AnalyticBackend`'s ``approximation`` knob.
 #:
@@ -125,6 +135,7 @@ class _SolvePlan:
         "db_refresh",
         "app_refresh",
         "dyn_frac",
+        "weights",
     )
 
     def __init__(self, demand_set: DemandSet) -> None:
@@ -201,6 +212,11 @@ class _SolvePlan:
         self.dyn_frac = demand_set.forward_dynamic / max(
             demand_set.forward_total, 1e-9
         )
+        # Replica multiplicity of each outer residual component: the
+        # pools in refresh order, then the nodes.
+        self.weights = [
+            pool.multiplicity for _, pool, _, _ in self.sorted_pools
+        ] + [nd.multiplicity for nd in demand_set.nodes]
 
 
 class _OuterState:
@@ -215,6 +231,9 @@ class _OuterState:
         "conc",
         "holding",
         "x_prev",
+        "step",
+        "residual",
+        "rounds",
         "err",
         "pool_diag",
         "demand_set",
@@ -242,6 +261,9 @@ class _OuterState:
             self.conc = {rep: 8.0 for rep, _ in agg.groups}
         self.holding: dict[str, float] = {}
         self.x_prev = 0.0
+        self.step = INITIAL_STEP
+        self.residual: list[float] = []
+        self.rounds = 0
         self.err = 0.0
         self.pool_diag: dict[str, float] = {}
         self.demand_set: DemandSet | None = None
@@ -260,17 +282,12 @@ class AnalyticBackend(PerformanceBackend):
         self,
         noise: Optional[NoiseModel] = None,
         memory: Optional[MemoryModel] = None,
-        max_outer: int = 40,
-        damping: float = 0.5,
-        tol: float = 2e-4,
         solution_cache_size: int = 4096,
         approximation: str = "auto",
         fluid_population_threshold: int = 50_000,
         hierarchy_node_threshold: int = 16,
         store: Optional["SharedStore"] = None,
     ) -> None:
-        if not 0.0 < damping <= 1.0:
-            raise ValueError("damping must be in (0, 1]")
         if solution_cache_size < 0:
             raise ValueError("solution_cache_size must be >= 0 (0 disables)")
         if approximation not in APPROXIMATIONS:
@@ -287,9 +304,6 @@ class AnalyticBackend(PerformanceBackend):
         self.hierarchy_node_threshold = hierarchy_node_threshold
         self.noise = noise if noise is not None else NoiseModel()
         self.memory = memory or MemoryModel()
-        self.max_outer = max_outer
-        self.damping = damping
-        self.tol = tol
         self.solution_cache_size = solution_cache_size
         self._context_cache: dict[tuple, WorkloadContext] = {}
         # Deterministic-solution memo: (scenario fp, config) → solution.
@@ -399,7 +413,7 @@ class AnalyticBackend(PerformanceBackend):
                     agg = plan
             states.append(_OuterState(cluster, cfg, fluid=fluid, agg=agg))
         pairs = list(zip(states, tasks))
-        for _ in range(self.max_outer):
+        for _ in range(MAX_OUTER):
             active = [(st, t) for st, t in pairs if not st.done]
             if not active:
                 break
@@ -506,17 +520,15 @@ class AnalyticBackend(PerformanceBackend):
         err = 0.0
         pool_diag: dict[str, float] = {}
         pool_queue: dict[str, float] = {}
-        d = self.damping
-        holding_drift = 0.0
+        pool_targets = []
         for name, pool, visits, ps_ratio in plan.sorted_pools:
             # The MVA piles *all* excess population onto the bottleneck
             # station, so the raw residence overstates how long one of a
             # pool's P threads actually holds local resources: with at
             # most P requests inside the node, per-request residence is
             # bounded by processor sharing among P threads.  Cap the
-            # MVA-derived holding by that bound — this is what makes a
-            # CPU-saturated node throttle at its CPU capacity instead of
-            # oscillating between CPU-limited and pool-limited regimes.
+            # MVA-derived holding by that bound, so a CPU-saturated node
+            # throttles at its CPU capacity.
             if pool.kind in ("http", "ajp"):
                 per_req = app_resid[pool.node_id] / visits
                 d_req = app_demand[pool.node_id] / visits
@@ -528,12 +540,8 @@ class AnalyticBackend(PerformanceBackend):
                     target = local + db_per_page
             else:  # dbconn: holding is the database residence per page
                 target = db_per_page
-            previous = holding.get(name, 0.02)
-            holding[name] = (1 - d) * previous + d * target
-            holding_drift = max(
-                holding_drift,
-                abs(holding[name] - previous) / max(holding[name], 1e-6),
-            )
+            holding.setdefault(name, 0.02)
+            pool_targets.append((name, target))
             # Backlog overflow → rejected requests → failed interactions.
             q = mva.queue[name]
             waiting = max(0.0, q - pool.servers)
@@ -548,19 +556,50 @@ class AnalyticBackend(PerformanceBackend):
         state.err = min(err, 0.95)
         state.pool_diag = pool_diag
 
-        # --- refresh concurrency estimates ----------------------------
+        # --- concurrency targets -------------------------------------
+        conc_targets = []
         for nd in demand_set.nodes:
             q = (
                 mva.queue[f"{nd.node_id}:cpu"]
                 + mva.queue[f"{nd.node_id}:disk"]
                 + mva.queue[f"{nd.node_id}:nic"]
             )
-            target = max(pool_queue.get(nd.node_id, 0.0), q, 1.0)
-            conc[nd.node_id] = (1 - d) * conc[nd.node_id] + d * target
+            conc_targets.append(
+                (nd.node_id, max(pool_queue.get(nd.node_id, 0.0), q, 1.0))
+            )
 
+        # --- one damped step toward every target ----------------------
+        # The step halves (down to MIN_STEP, never growing back) whenever
+        # the relative residual reverses direction, Σ mᵢ·rᵢ·rᵢ′ < 0, which
+        # brackets the cycles a fixed step locks into.  Replica weights
+        # keep an aggregated solve's choice equal to the per-node one.
+        residual = [
+            (target - holding[name]) / holding[name]
+            for name, target in pool_targets
+        ] + [(target - conc[node]) / conc[node] for node, target in conc_targets]
+        reversal = sum(
+            m * r * r_prev
+            for m, r, r_prev in zip(plan.weights, residual, state.residual)
+        )
+        if reversal < 0:
+            state.step = max(0.5 * state.step, MIN_STEP)
+        state.residual = residual
+        d = state.step
+        holding_drift = 0.0
+        for name, target in pool_targets:
+            previous = holding[name]
+            holding[name] = (1 - d) * previous + d * target
+            holding_drift = max(
+                holding_drift,
+                abs(holding[name] - previous) / max(holding[name], 1e-6),
+            )
+        for node, target in conc_targets:
+            conc[node] = (1 - d) * conc[node] + d * target
+
+        state.rounds += 1
         converged = (
-            abs(x - state.x_prev) <= self.tol * max(x, 1e-9)
-            and holding_drift <= 100 * self.tol
+            abs(x - state.x_prev) <= TOL * max(x, 1e-9)
+            and holding_drift <= 100 * TOL
         )
         state.x_prev = x
         return converged
@@ -594,6 +633,8 @@ class AnalyticBackend(PerformanceBackend):
         diagnostics["forward_dynamic"] = demand_set.forward_dynamic
         diagnostics["forward_static"] = demand_set.forward_static
         diagnostics["solver.fluid"] = 1.0 if state.fluid else 0.0
+        diagnostics["solver.outer_rounds"] = float(state.rounds)
+        diagnostics["solver.converged"] = 1.0 if state.done else 0.0
         agg = state.agg
         diagnostics["solver.aggregated_nodes"] = (
             float(agg.num_nodes - len(agg.groups)) if agg is not None else 0.0

@@ -40,9 +40,6 @@ __all__ = ["prefetch_frontier"]
 #: noise model is not one: prefetching never draws noise.
 _SOLVER_SETTINGS = (
     "memory",
-    "max_outer",
-    "damping",
-    "tol",
     "solution_cache_size",
     "approximation",
     "fluid_population_threshold",
