@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 from repro.cluster.node import DEFAULT_NODE, NodeSpec, Role
 from repro.cluster.params import constraints_for_role, params_for_role
 from repro.harmony.constraints import ConstraintSet
-from repro.harmony.parameter import Configuration, ParameterSpace
+from repro.harmony.parameter import Configuration, IntParameter, ParameterSpace
 
 __all__ = ["NodePlacement", "ClusterSpec"]
 
@@ -158,29 +158,32 @@ class ClusterSpec:
         """
         groups: dict[tuple, list[str]] = {}
         for p in self._placements:
-            groups.setdefault((p.role.value, astuple(p.spec)), []).append(
-                p.node_id
-            )
+            groups.setdefault((p.role.value, p.spec), []).append(p.node_id)
         return {members[0]: members for members in groups.values()}
 
     # -- parameter space -------------------------------------------------------
     def full_space(self) -> ParameterSpace:
         """Every node's role parameters, namespaced ``"<node>.<param>"``.
 
-        Cached: the layout is immutable and wide clusters make this union
-        expensive (hundreds of nodes × a dozen parameters), while hot
-        paths — ``extremeness()`` per measurement — ask for it per call.
+        Built in one pass, in placement order, and cached: the layout is
+        immutable, while hot paths — ``extremeness()`` per measurement —
+        ask for it per call.
         """
         cached = getattr(self, "_full_space", None)
         if cached is None:
-            space: ParameterSpace | None = None
-            for p in self._placements:
-                node_space = ParameterSpace(
-                    list(params_for_role(p.role))
-                ).prefixed(f"{p.node_id}.")
-                space = node_space if space is None else space.union(node_space)
-            assert space is not None
-            cached = self._full_space = space
+            cached = self._full_space = ParameterSpace(
+                [
+                    IntParameter(
+                        name=f"{p.node_id}.{param.name}",
+                        default=param.default,
+                        low=param.low,
+                        high=param.high,
+                        step=param.step,
+                    )
+                    for p in self._placements
+                    for param in params_for_role(p.role)
+                ]
+            )
         return cached
 
     def default_configuration(self) -> Configuration:
@@ -199,17 +202,18 @@ class ClusterSpec:
     def node_config(
         self, full_config: Mapping[str, int], node_id: str
     ) -> dict[str, int]:
-        """Extract one node's un-namespaced parameter values."""
+        """Extract one node's un-namespaced parameter values.
+
+        Reads the configuration's cached per-node slices (see
+        :meth:`Configuration.node_slices`), so extracting every node costs
+        one pass over the configuration, not one per node.
+        """
         if node_id not in self._by_id:
             raise KeyError(f"unknown node {node_id!r}")
-        prefix = f"{node_id}."
-        out = {
-            name[len(prefix):]: value
-            for name, value in full_config.items()
-            if name.startswith(prefix)
-        }
+        slices = Configuration.coerce(full_config).node_slices()
+        out = dict(slices.get(node_id, ()))
         expected = {p.name for p in params_for_role(self.role_of(node_id))}
-        missing = expected - set(out)
+        missing = expected - out.keys()
         if missing:
             raise ValueError(
                 f"configuration missing parameters for {node_id!r}: {sorted(missing)}"

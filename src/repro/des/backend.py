@@ -102,6 +102,7 @@ class _SimCluster:
         self.ctx = ctx
         self.nodes: dict[str, NodeSim] = {}
         by_role: dict[Role, list[NodeSim]] = {r: [] for r in Role}
+        configuration = Configuration.coerce(configuration)
         for placement in cluster.placements:
             cfg = cluster.node_config(configuration, placement.node_id)
             role = placement.role

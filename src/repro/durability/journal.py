@@ -40,6 +40,7 @@ from repro.durability.framing import (
     append_frame,
     scan_file,
 )
+from repro.harmony.parameter import Configuration
 from repro.model.base import Measurement, ResourceUtilization
 
 __all__ = [
@@ -287,7 +288,8 @@ class JournaledRunner:
     def _config_digest(configuration: Mapping[str, int]) -> str:
         import hashlib
 
-        blob = repr(sorted(configuration.items())).encode("utf-8")
+        items = Configuration.coerce(configuration).sorted_items()
+        blob = repr(list(items)).encode("utf-8")
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def _replay(self, configuration: Any, index: Optional[int]) -> Measurement:

@@ -12,11 +12,26 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from types import MappingProxyType
+from typing import (
+    ItemsView,
+    Iterable,
+    Iterator,
+    KeysView,
+    Mapping,
+    Optional,
+    Sequence,
+    ValuesView,
+)
 
 import numpy as np
 
 __all__ = ["IntParameter", "ParameterSpace", "Configuration"]
+
+#: Integers of smaller magnitude are exact in float64 (and so in int64).
+_EXACT = 2**53
+#: Value types whose float64 image the vectorised bound checks can trust.
+_PLAIN_TYPES = frozenset({int, float, bool})
 
 
 @dataclass(frozen=True)
@@ -110,15 +125,54 @@ class IntParameter:
 
 
 class Configuration(Mapping[str, int]):
-    """An immutable, hashable assignment of values to parameter names."""
+    """An immutable, hashable assignment of values to parameter names.
 
-    __slots__ = ("_values", "_hash")
+    Facts derived from the whole configuration are computed once: the
+    sorted items (which also give the hash) at construction, the per-node
+    slices on first use.  Pickling carries the values alone, so the
+    receiver recomputes the hash under its own string-hash seed.
+    """
+
+    __slots__ = ("_values", "_items", "_hash", "_slices")
 
     def __init__(self, values: Mapping[str, int]) -> None:
         object.__setattr__(self, "_values", dict(values))
-        object.__setattr__(
-            self, "_hash", hash(tuple(sorted(self._values.items())))
-        )
+        items = tuple(sorted(self._values.items()))
+        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_hash", hash(items))
+        object.__setattr__(self, "_slices", None)
+
+    @classmethod
+    def coerce(cls, values: Mapping[str, int]) -> "Configuration":
+        """``values`` itself if it is a configuration, else a new one."""
+        return values if isinstance(values, Configuration) else cls(values)
+
+    def sorted_items(self) -> tuple[tuple[str, int], ...]:
+        """``tuple(sorted(self.items()))``, computed once."""
+        return self._items
+
+    def node_slices(self) -> Mapping[str, tuple[tuple[str, int], ...]]:
+        """Node id → that node's ``(param, value)`` pairs, sorted by param.
+
+        Splits every ``"<node>.<param>"`` name once, on first use; names
+        without a dot belong to no node.  Replicas with equal slices share
+        one tuple.
+        """
+        slices = self._slices
+        if slices is None:
+            grouped: dict[str, list[tuple[str, int]]] = {}
+            for name, value in self._items:
+                node_id, dot, param = name.partition(".")
+                if dot:
+                    grouped.setdefault(node_id, []).append((param, value))
+            shared: dict[tuple, tuple] = {}
+            by_node = {}
+            for node_id, pairs in grouped.items():
+                frozen = tuple(pairs)
+                by_node[node_id] = shared.setdefault(frozen, frozen)
+            slices = MappingProxyType(by_node)
+            object.__setattr__(self, "_slices", slices)
+        return slices
 
     def __getitem__(self, key: str) -> int:
         return self._values[key]
@@ -129,6 +183,21 @@ class Configuration(Mapping[str, int]):
     def __len__(self) -> int:
         return len(self._values)
 
+    def __contains__(self, key: object) -> bool:
+        return key in self._values
+
+    def keys(self) -> KeysView[str]:
+        return self._values.keys()
+
+    def values(self) -> ValuesView[int]:
+        return self._values.values()
+
+    def items(self) -> ItemsView[str, int]:
+        return self._values.items()
+
+    def get(self, key: str, default: Optional[int] = None) -> Optional[int]:
+        return self._values.get(key, default)
+
     def __hash__(self) -> int:
         return self._hash
 
@@ -138,6 +207,15 @@ class Configuration(Mapping[str, int]):
         if isinstance(other, Mapping):
             return self._values == dict(other)
         return NotImplemented
+
+    def __reduce__(self) -> tuple:
+        return (Configuration, (self._values,))
+
+    def __setstate__(self, state: tuple) -> None:
+        # Pickles written before ``__reduce__`` existed hold the slots,
+        # including a hash salted by the writing interpreter: rebuild.
+        _, slots = state
+        self.__init__(slots["_values"])
 
     def replace(self, **updates: int) -> "Configuration":
         """A copy with some values changed."""
@@ -159,8 +237,54 @@ class Configuration(Mapping[str, int]):
         return Configuration(merged)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._values.items()))
+        inner = ", ".join(f"{k}={v}" for k, v in self._items)
         return f"Configuration({inner})"
+
+
+class _Bounds:
+    """A space's bounds as arrays, for the vectorised checks.
+
+    Values are checked against them only when every bound and value is a
+    plain int, float or bool of magnitude below 2**53, so each array
+    operation reproduces the per-parameter Python arithmetic exactly.
+    """
+
+    __slots__ = ("names", "exact", "low", "high", "step", "centre", "half_span", "flat")
+
+    def __init__(self, params: Sequence[IntParameter]) -> None:
+        self.names = [p.name for p in params]
+        self.exact = all(
+            -_EXACT < bound < _EXACT for p in params for bound in (p.low, p.high, p.step)
+        )
+        if not self.exact:
+            return
+        self.low = np.array([p.low for p in params], dtype=np.int64)
+        self.high = np.array([p.high for p in params], dtype=np.int64)
+        self.step = np.array([p.step for p in params], dtype=np.int64)
+        # The same Python expressions IntParameter.extremeness evaluates;
+        # zero-span dimensions divide by 1 and are then zeroed.
+        self.centre = np.array([(p.low + p.high) / 2.0 for p in params])
+        self.half_span = np.array([p.span / 2.0 if p.span else 1.0 for p in params])
+        self.flat = np.array([p.span == 0 for p in params])
+
+    def values(self, config: Mapping[str, int]) -> Optional[np.ndarray]:
+        """``config``'s values in space order as exact float64, or None.
+
+        None when the bounds or some value are not plain numbers small
+        enough to be exact; a missing name raises ``KeyError`` as a
+        per-name lookup would.
+        """
+        if not self.exact:
+            return None
+        source = config._values if isinstance(config, Configuration) else config
+        values = list(map(source.__getitem__, self.names))
+        if not _PLAIN_TYPES.issuperset(map(type, values)):
+            return None
+        try:
+            array = np.array(values, dtype=np.float64)
+        except OverflowError:
+            return None
+        return array if (np.abs(array) < _EXACT).all() else None
 
 
 class ParameterSpace:
@@ -173,6 +297,8 @@ class ParameterSpace:
             raise ValueError(f"duplicate parameter names: {dupes}")
         self._params: tuple[IntParameter, ...] = tuple(parameters)
         self._index = {p.name: i for i, p in enumerate(self._params)}
+        #: Bound arrays of the vectorised checks, built on first use.
+        self._bounds: Optional[_Bounds] = None
 
     # -- basic introspection -------------------------------------------
     @property
@@ -238,15 +364,34 @@ class ParameterSpace:
         """A uniformly random legal configuration."""
         return Configuration({p.name: p.random(rng) for p in self._params})
 
+    def _vector_bounds(self) -> _Bounds:
+        """The bound arrays (built on first use, not at construction)."""
+        if self._bounds is None:
+            self._bounds = _Bounds(self._params)
+        return self._bounds
+
     def validate(self, config: Mapping[str, int]) -> None:
         """Raise ``ValueError`` unless ``config`` is complete and legal."""
-        missing = set(self._index) - set(config)
-        extra = set(config) - set(self._index)
-        if missing or extra:
+        if config.keys() != self._index.keys():
+            missing = set(self._index) - set(config)
+            extra = set(config) - set(self._index)
             raise ValueError(
                 f"configuration mismatch: missing={sorted(missing)}, "
                 f"extra={sorted(extra)}"
             )
+        bounds = self._vector_bounds()
+        values = bounds.values(config)
+        if values is not None and (values == np.trunc(values)).all():
+            ints = values.astype(np.int64)
+            legal = (
+                (ints >= bounds.low)
+                & (ints <= bounds.high)
+                & ((ints - bounds.low) % bounds.step == 0)
+            )
+            if legal.all():
+                return
+        # Anything the fast path does not accept is judged, and reported,
+        # one parameter at a time.
         for p in self._params:
             if not p.is_legal(config[p.name]):
                 raise ValueError(
@@ -264,9 +409,15 @@ class ParameterSpace:
         """Mean per-dimension extremeness of ``config`` in [0, 1]."""
         if not self._params:
             return 0.0
-        return float(
-            np.mean([p.extremeness(config[p.name]) for p in self._params])
-        )
+        bounds = self._vector_bounds()
+        values = bounds.values(config)
+        if values is None:
+            return float(
+                np.mean([p.extremeness(config[p.name]) for p in self._params])
+            )
+        distance = np.abs(values - bounds.centre) / bounds.half_span
+        distance[bounds.flat] = 0.0
+        return float(np.mean(distance))
 
     # -- vector space -------------------------------------------------------
     def to_vector(self, config: Mapping[str, int]) -> np.ndarray:

@@ -22,6 +22,7 @@ names follow the ``"<node>.<param>"`` convention of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from repro.harmony.constraints import ConstraintSet, OrderingConstraint
@@ -69,14 +70,26 @@ class TuningGroup:
                 f"group {self.group_id!r}: constraints reference unknown "
                 f"parameters {sorted(dangling)}"
             )
+        # Derived once: the tuned names that control something (in space
+        # order), and every (full, tuned) pair in full-name order; the
+        # stable sort keeps the last tuned name winning a repeated target.
+        tuned = tuple(name for name in self.space.names if self.expansion[name])
+        targets = sorted(
+            ((full, name) for name in tuned for full in self.expansion[name]),
+            key=itemgetter(0),
+        )
+        object.__setattr__(self, "_tuned", tuned)
+        object.__setattr__(self, "_fulls", tuple(full for full, _ in targets))
+        object.__setattr__(self, "_sources", tuple(name for _, name in targets))
 
     def expand(self, config: Mapping[str, int]) -> dict[str, int]:
-        """Tuned configuration fragment → full-name fragment."""
-        out: dict[str, int] = {}
-        for tuned_name in self.space.names:
-            for full_name in self.expansion[tuned_name]:
-                out[full_name] = config[tuned_name]
-        return out
+        """Tuned configuration fragment → full-name fragment.
+
+        The result is in full-name order, so the :class:`Configuration`
+        built from it sorts input that is already sorted.
+        """
+        values = {name: config[name] for name in self._tuned}
+        return dict(zip(self._fulls, map(values.__getitem__, self._sources)))
 
 
 class TuningScheme:

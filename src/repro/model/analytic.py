@@ -646,14 +646,16 @@ class AnalyticBackend(PerformanceBackend):
             # reconfiguration policy above all — address nodes
             # individually (utilization, ``{node}.jobs``,
             # ``{node}.service_time``, pool diagnostics).
+            by_node: dict[str, list[tuple[str, float]]] = {}
+            # Order-insensitive: each node's list is sorted before use,
+            # which gives the order a sort of the whole dict would.
+            for key, value in diagnostics.items():  # repro: noqa[RPL003]
+                node_id, dot, suffix = key.partition(".")
+                if dot:
+                    by_node.setdefault(node_id, []).append((suffix, value))
             for rep, rest in agg.expansions():
                 rep_util = utilization[rep]
-                prefix = f"{rep}."
-                rep_items = [
-                    (key[len(prefix):], value)
-                    for key, value in sorted(diagnostics.items())
-                    if key.startswith(prefix)
-                ]
+                rep_items = sorted(by_node.get(rep, ()))
                 for member in rest:
                     utilization[member] = rep_util
                     for suffix, value in rep_items:
@@ -675,7 +677,7 @@ class AnalyticBackend(PerformanceBackend):
     ) -> tuple:
         return (
             scenario.fingerprint(),
-            tuple(sorted(configuration.items())),
+            Configuration.coerce(configuration).sorted_items(),
         ) + self._mode_tag(scenario.cluster, scenario.population)
 
     def export_solutions(self) -> list[tuple[tuple, AnalyticSolution]]:
@@ -772,7 +774,7 @@ class AnalyticBackend(PerformanceBackend):
         return Configuration(
             {
                 k: v
-                for k, v in sorted(configuration.items())
+                for k, v in Configuration.coerce(configuration).sorted_items()
                 if k.startswith(prefixes)
             }
         )
@@ -802,7 +804,7 @@ class AnalyticBackend(PerformanceBackend):
                 scenario.fingerprint(),
                 line_id,
                 sub_pop,
-                tuple(sorted(sub_cfg.items())),
+                sub_cfg.sorted_items(),
             ) + self._mode_tag(sub_cluster, sub_pop)
             tasks.append((line_id, key, sub_cluster, sub_cfg, sub_pop))
         return tasks

@@ -579,7 +579,7 @@ class MeasurementCache(ContentMemo):
         """
         base = (
             scenario.fingerprint(),
-            tuple(sorted(configuration.items())),
+            Configuration.coerce(configuration).sorted_items(),
             int(seed),
         )
         return base + (tuple(token),) if token else base

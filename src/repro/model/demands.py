@@ -21,6 +21,7 @@ from repro.cluster.memory import MemoryModel
 from repro.cluster.node import Role
 from repro.cluster.proxy import ProxyModel
 from repro.cluster.topology import ClusterSpec
+from repro.harmony.parameter import Configuration
 
 __all__ = [
     "NodeDemand",
@@ -135,6 +136,9 @@ class DemandBuilder:
         memory_model: MemoryModel | None = None,
         groups: Sequence[tuple[str, Sequence[str]]] | None = None,
     ) -> None:
+        # One Configuration for every node_config() below: its per-node
+        # slices are split once, not once per node.
+        config = Configuration.coerce(config)
         self.cluster = cluster
         self.config = config
         self.ctx = ctx

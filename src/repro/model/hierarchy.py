@@ -21,10 +21,11 @@ incorrectly.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import Mapping
 
 from repro.cluster.topology import ClusterSpec
+from repro.harmony.parameter import Configuration
 
 __all__ = ["AggregationPlan", "aggregation_plan"]
 
@@ -72,24 +73,18 @@ def aggregation_plan(
     """Group ``cluster``'s nodes into aggregable replica groups.
 
     Two nodes share a group iff they have the same role, the same
-    hardware spec, and byte-identical configuration slices.  The
-    configuration is split per node in one pass (O(parameters), not
-    O(nodes × parameters) — wide clusters carry thousands of namespaced
-    entries), and the per-node slices are compared in sorted-key order so
-    the grouping is independent of mapping iteration order.
+    hardware spec, and identical configuration slices.  The slices are
+    :meth:`Configuration.node_slices`, sorted by parameter name so the
+    grouping is independent of mapping iteration order.  Splitting them
+    costs one pass over the configuration, paid once per configuration
+    and shared with :meth:`ClusterSpec.node_config`; grouping then hashes
+    one ``(role, spec, slice)`` key per node.  A plain mapping is first
+    turned into a :class:`Configuration`, which sorts it.
     """
-    per_node: dict[str, list[tuple[str, int]]] = {}
-    for name, value in sorted(configuration.items()):
-        node_id, dot, param = name.partition(".")
-        if dot:
-            per_node.setdefault(node_id, []).append((param, value))
+    slices = Configuration.coerce(configuration).node_slices()
     groups: dict[tuple, list[str]] = {}
     for p in cluster.placements:
-        key = (
-            p.role.value,
-            astuple(p.spec),
-            tuple(per_node.get(p.node_id, ())),
-        )
+        key = (p.role.value, p.spec, slices.get(p.node_id, ()))
         groups.setdefault(key, []).append(p.node_id)
     return AggregationPlan(
         groups=tuple(
