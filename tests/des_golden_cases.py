@@ -76,12 +76,30 @@ def _ordering_starved():
     return scenario, config, {}
 
 
+def _ordering_rejecting():
+    # Two HTTP/AJP threads and one backlog slot each: the app tier
+    # rejects requests, so pages fail.  The proxy's disk cache admits
+    # only objects of 512 KB and up, so images miss, reach the app tier
+    # and are lost there too.
+    cluster = ClusterSpec.three_tier(1, 1, 1)
+    scenario = Scenario(cluster=cluster, mix=ORDERING_MIX, population=250)
+    config = cluster.default_configuration().replace(**{
+        "app0.maxProcessors": 2,
+        "app0.AJPmaxProcessors": 2,
+        "app0.acceptCount": 1,
+        "app0.AJPacceptCount": 1,
+        "proxy0.minimum_object_size": 512,
+    })
+    return scenario, config, {}
+
+
 #: name -> builder returning (scenario, configuration, backend kwargs).
 CASES = {
     "shopping-111": _shopping_small,
     "browsing-111-nav": _browsing_nav,
     "ordering-222-lines": _ordering_lines,
     "ordering-111-starved": _ordering_starved,
+    "ordering-111-rejecting": _ordering_rejecting,
 }
 
 

@@ -30,6 +30,10 @@ def test_fixture_shape():
     assert len({c["scenario"] for c in _CASES}) >= 3
     assert len({c["seed"] for c in _CASES}) >= 3
     assert len({c["time_scale"] for c in _CASES}) >= 2
+    # Rejections (QueueFullError delivery, lost images) are pinned too.
+    assert any(
+        float.fromhex(c["measurement"]["error_rate"]) > 0 for c in _CASES
+    )
 
 
 @pytest.mark.parametrize(
