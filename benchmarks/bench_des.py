@@ -1,12 +1,18 @@
 """The DES end to end: kernel throughput, measurement wall-clock, replications.
 
-Three arms, written to ``BENCH_des.json``:
+Four arms, written to ``BENCH_des.json``:
 
 * **Kernel churn** — a delay-dominated workload (50 processes x 1600
   plain-delay yields, the kernel's dominant operation); best-of-N
   entries/second.  The seed kernel's throughput on the same workload,
   measured before it was deleted, is recorded alongside as a fixed
   reference.
+* **Kernel contention** — 50 processes x 800 acquire/delay/release
+  loops on one capacity-2 resource, so most acquires queue and half the
+  entries are grants and hand-overs at the current instant; best-of-N
+  entries/second.  The heap-only kernel's throughput on the same
+  workload, measured before same-instant entries moved to a FIFO, is
+  recorded alongside as a fixed reference.
 * **Measurement wall-clock** — a full ``SimulationBackend.measure`` on a
   TPC-W scenario, best-of-N.
 * **Replications** — ``replications=4`` merged serially and via the
@@ -27,6 +33,7 @@ from repro.cluster.topology import ClusterSpec
 from repro.des.backend import SimulationBackend
 from repro.model.base import Measurement, Scenario
 from repro.sim.core import Environment
+from repro.sim.resources import Resource
 from repro.tpcw.interactions import SHOPPING_MIX
 from repro.util.serialization import atomic_write_json
 from repro.util.tables import Table
@@ -36,6 +43,12 @@ RESULT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_des.json"
 #: Kernel-churn workload shape: processes x plain-delay yields each.
 CHURN_PROCESSES = 50
 CHURN_LOOPS = 1600
+
+#: Contention workload shape: processes x acquire/delay/release loops
+#: on one resource of this capacity.
+CONTENDED_PROCESSES = 50
+CONTENDED_LOOPS = 800
+CONTENDED_CAPACITY = 2
 
 #: Repetitions per arm (best-of; the host is noisy).
 CHURN_REPEATS = 9
@@ -48,6 +61,17 @@ SEED_KERNEL_RECORDED = {
     "lean_kernel_entries_per_second": 2_058_896,
     "speedup": 3.69,
     "host_cpus": 1,
+}
+
+
+#: The heap-only kernel on the contention workload, last measured before
+#: same-instant entries moved to a FIFO: best of 9 interleaved best-of-9
+#: runs against the FIFO kernel on a 2-CPU host.
+HEAP_KERNEL_RECORDED = {
+    "entries_per_second": 763_211,
+    "fifo_kernel_entries_per_second": 1_015_348,
+    "speedup": 1.33,
+    "host_cpus": 2,
 }
 
 
@@ -64,12 +88,34 @@ def _churn_env() -> Environment:
     return env
 
 
-def _run_churn() -> tuple[float, int]:
-    """(wall-clock seconds, heap entries dispatched) for one run."""
-    env = _churn_env()
-    start = time.perf_counter()
-    env.run()
-    return time.perf_counter() - start, env.scheduled_entries
+def _contended_env() -> Environment:
+    """Processes competing for one small resource: most acquires queue."""
+    env = Environment()
+    res = Resource(env, CONTENDED_CAPACITY, name="contended")
+
+    def worker(delay: float):
+        for _ in range(CONTENDED_LOOPS):
+            req = res.acquire()
+            yield req
+            yield delay
+            req.release()
+
+    for i in range(CONTENDED_PROCESSES):
+        env.process(worker(0.001 + i * 1e-6))
+    return env
+
+
+def _best_run(build, repeats: int) -> tuple[float, int]:
+    """Best-of-``repeats`` (wall-clock seconds, entries dispatched)."""
+    best = float("inf")
+    entries = 0
+    for _ in range(repeats):
+        env = build()
+        start = time.perf_counter()
+        env.run()
+        best = min(best, time.perf_counter() - start)
+        entries = env.scheduled_entries
+    return best, entries
 
 
 def _scenario() -> tuple[Scenario, dict]:
@@ -97,12 +143,12 @@ def _hex_measurement(m: Measurement) -> dict:
 
 def test_des_end_to_end(report):
     # --- arm 1: kernel churn ----------------------------------------------
-    t_churn = float("inf")
-    entries = 0
-    for _ in range(CHURN_REPEATS):
-        dt, entries = _run_churn()
-        t_churn = min(t_churn, dt)
+    t_churn, entries = _best_run(_churn_env, CHURN_REPEATS)
     churn_eps = entries / t_churn
+
+    # --- arm 1b: kernel contention ----------------------------------------
+    t_contended, contended_entries = _best_run(_contended_env, CHURN_REPEATS)
+    contended_eps = contended_entries / t_contended
 
     # --- arm 2: end-to-end measurement wall-clock -------------------------
     scenario, config = _scenario()
@@ -135,10 +181,10 @@ def test_des_end_to_end(report):
     payload = {
         "schema": "bench_des/v2",
         "description": (
-            "DES end to end: event-kernel churn throughput (with the "
-            "deleted seed kernel's last recorded figure for reference), "
-            "measurement wall-clock, and serial-vs-parallel replication "
-            "identity."
+            "DES end to end: event-kernel churn and contention "
+            "throughput (with the deleted kernels' last recorded figures "
+            "for reference), measurement wall-clock, and "
+            "serial-vs-parallel replication identity."
         ),
         "host_cpus": os.cpu_count(),
         "kernel_churn": {
@@ -151,6 +197,18 @@ def test_des_end_to_end(report):
             "seconds": round(t_churn, 6),
             "entries_per_second": round(churn_eps),
             "seed_kernel_recorded": SEED_KERNEL_RECORDED,
+        },
+        "kernel_contended": {
+            "workload": (
+                f"{CONTENDED_PROCESSES} processes x {CONTENDED_LOOPS} "
+                "acquire/delay/release loops on one capacity-"
+                f"{CONTENDED_CAPACITY} resource"
+            ),
+            "entries_dispatched": contended_entries,
+            "protocol": f"best-of-{CHURN_REPEATS} wall-clock",
+            "seconds": round(t_contended, 6),
+            "entries_per_second": round(contended_eps),
+            "heap_kernel_recorded": HEAP_KERNEL_RECORDED,
         },
         "measure_wall_clock": {
             "scenario": "three_tier(1,1,1), shopping mix, N=120",
@@ -171,7 +229,7 @@ def test_des_end_to_end(report):
     atomic_write_json(RESULT_PATH, payload)
 
     table = Table(
-        "DES end to end (lean kernel + block-sampled RNG)",
+        "DES end to end (lean kernel, same-instant FIFO)",
         ["Arm", "Wall-clock", "Note"],
     )
     table.add_row(
@@ -180,6 +238,13 @@ def test_des_end_to_end(report):
         f"{churn_eps:,.0f} entries/s (seed kernel, recorded: "
         f"{SEED_KERNEL_RECORDED['entries_per_second']:,} on "
         f"{SEED_KERNEL_RECORDED['host_cpus']} CPU)",
+    )
+    table.add_row(
+        f"kernel contention ({contended_entries:,} entries)",
+        f"{t_contended * 1e3:.1f} ms",
+        f"{contended_eps:,.0f} entries/s (heap-only kernel, recorded: "
+        f"{HEAP_KERNEL_RECORDED['entries_per_second']:,} on "
+        f"{HEAP_KERNEL_RECORDED['host_cpus']} CPUs)",
     )
     table.add_row("measure() wall-clock", f"{t_measure * 1e3:.0f} ms", "")
     table.add_row(

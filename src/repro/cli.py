@@ -272,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile", action="store_true",
         help=(
-            "record simulator observability diagnostics (event counts, "
-            "RNG draw accounting, per-phase wall-clock) in the DES arms; "
-            "results are bit-identical either way"
+            "record simulator observability diagnostics (kernel entry "
+            "counts, per-phase wall-clock) in the DES arms; results are "
+            "bit-identical either way"
         ),
     )
     p.add_argument(
@@ -312,8 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--profile", action="store_true",
         help=(
-            "print simulator observability diagnostics (event counts, "
-            "RNG draw accounting, per-phase wall-clock)"
+            "print simulator observability diagnostics (kernel entry "
+            "counts, per-phase wall-clock)"
         ),
     )
 

@@ -14,11 +14,12 @@ for tests while collecting thousands of interactions.
 Performance layers (all default-on, all bit-identical to the seed DES):
 
 * the lean event kernel (:mod:`repro.sim.core`) — service/think delays
-  are bare-float yields dispatched as resume records, not ``Timeout``
-  events;
-* per-browser :class:`~repro.util.rng.BlockSampler` streams — uniform and
-  exponential draws are served from pre-drawn blocks where stream-stable
-  (the load balancer's bounded ``integers`` draw stays scalar);
+  are bare-float yields dispatched as resume records, resource grants
+  and hand-overs are grant records, and everything due at the current
+  instant goes through a FIFO instead of the heap;
+* one :class:`~repro.sim.process.Join` per page for its embedded
+  images, so the page resumes once, in the slot of the last image's
+  completion, instead of once per image;
 * opt-in **parallel replications** (``replications=R``): R seed-derived
   independent iterations fanned through the parallel executor and merged
   by batch means for tighter confidence intervals at roughly the
@@ -26,8 +27,11 @@ Performance layers (all default-on, all bit-identical to the seed DES):
   the seed backend and keeps legacy cache keys; ``R>1`` points are
   cache-key-separated via :meth:`measurement_cache_token`.
 
-``profile=True`` records event counts, RNG draw accounting and per-phase
-wall-clock into ``Measurement.diagnostics`` (diagnostics only: profiled
+Each emulated browser draws from its own seed-derived
+:class:`numpy.random.Generator`.
+
+``profile=True`` records kernel entry counts and per-phase wall-clock
+into ``Measurement.diagnostics`` (diagnostics only: profiled
 measurements carry timing values and are excluded from byte-identity
 gates).
 """
@@ -38,6 +42,8 @@ import math
 import os
 import time
 from typing import Mapping, Optional, Sequence
+
+import numpy as np
 
 from repro.cluster.appserver import AppServerModel
 from repro.cluster.context import WorkloadContext
@@ -56,6 +62,7 @@ from repro.model.base import (
     Scenario,
 )
 from repro.sim.core import Environment
+from repro.sim.process import Join
 from repro.sim.resources import QueueFullError
 from repro.tpcw.interactions import InteractionCategory
 from repro.tpcw.metrics import WipsMeter
@@ -64,7 +71,7 @@ from repro.tpcw.navigation import NavigationModel
 from repro.tpcw.wirt import WirtTracker
 from repro.tpcw.profiles import PROFILES
 from repro.tuning.iteration import IterationSpec
-from repro.util.rng import BlockSampler, RandomSource, RngFactory, derive_seed
+from repro.util.rng import RngFactory, derive_seed
 from repro.util.stats import RunningStats, percentile
 
 __all__ = ["SimulationBackend", "NETWORK_RTT"]
@@ -158,7 +165,7 @@ class _SimCluster:
                         "route to"
                     )
 
-    def pick(self, line: str, role: Role, rng: RandomSource) -> NodeSim:
+    def pick(self, line: str, role: Role, rng: np.random.Generator) -> NodeSim:
         """Random uniform node of ``role`` within ``line`` (load balancer)."""
         nodes = self.lines[line][role]
         n = len(nodes)
@@ -257,8 +264,8 @@ class SimulationBackend(PerformanceBackend):
         iterations and merges them by batch means; ``replication_jobs``
         bounds the process fan-out (1 forces the serial in-process loop,
         which is bit-identical to the parallel merge).  ``profile=True``
-        adds ``profile.*`` diagnostics (event counts, RNG draw mix,
-        per-phase wall-clock)."""
+        adds ``profile.*`` diagnostics (kernel entry counts, per-phase
+        wall-clock)."""
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         if replications < 1:
@@ -311,16 +318,19 @@ class SimulationBackend(PerformanceBackend):
     # request flows
     # ------------------------------------------------------------------
     def _static_flow(self, sim: _SimCluster, line: str,
-                     proxy: ProxyServerSim, rng: RandomSource):
+                     proxy: ProxyServerSim, rng: np.random.Generator):
         size = sim.ctx.catalog.object_size(sim.ctx.catalog.sample_object(rng))
         outcome = yield from proxy.serve_static(rng, size)
         if outcome == "miss":
             app: AppServerSim = sim.pick(line, Role.APP, rng)  # type: ignore[assignment]
-            yield from app.serve_static(rng, size)
+            try:
+                yield from app.serve_static(rng, size)
+            except QueueFullError:
+                return  # a lost image degrades but does not fail the page
             yield from proxy.relay(rng, size)
 
     def _interaction_flow(self, sim: _SimCluster, line: str, interaction,
-                          rng: RandomSource):
+                          rng: np.random.Generator):
         profile = PROFILES[interaction]
         proxy: ProxyServerSim = sim.pick(line, Role.PROXY, rng)  # type: ignore[assignment]
         yield NETWORK_RTT
@@ -344,15 +354,9 @@ class SimulationBackend(PerformanceBackend):
         if rng.random() < profile.static_objects - n:
             n += 1
         if n:
-            procs = [
-                sim.env.process(self._static_flow(sim, line, proxy, rng))
-                for _ in range(n)
-            ]
-            for proc in procs:
-                try:
-                    yield proc
-                except QueueFullError:
-                    pass  # a lost image degrades but does not fail the page
+            yield Join(sim.env, [
+                self._static_flow(sim, line, proxy, rng) for _ in range(n)
+            ])
 
     def _navigation(self, scenario: Scenario) -> NavigationModel:
         nav = self._nav_cache.get(scenario.mix.name)
@@ -362,7 +366,7 @@ class SimulationBackend(PerformanceBackend):
         return nav
 
     def _browser(self, sim: _SimCluster, line: str, scenario: Scenario,
-                 sampler: MixSampler, rng: RandomSource,
+                 sampler: MixSampler, rng: np.random.Generator,
                  meter: WipsMeter, latency: RunningStats,
                  latency_samples: list, wirt: WirtTracker):
         env = sim.env
@@ -473,7 +477,6 @@ class SimulationBackend(PerformanceBackend):
         )
         rngs = RngFactory(seed).child("des")
         sampler = MixSampler(scenario.mix)
-        samplers: list[BlockSampler] = []
 
         lines = sorted(sim.lines)
         meters = {line: WipsMeter() for line in lines}
@@ -485,16 +488,10 @@ class SimulationBackend(PerformanceBackend):
         for li, line in enumerate(lines):
             count = share + (1 if li < remainder else 0)
             for b in range(count):
-                # min_run=0: site-directed blocks only.  Browser streams
-                # interleave uniform and exponential draws every few
-                # calls, so the auto-fill heuristic would thrash (fill
-                # 1024, serve a handful, rewind).
-                rng = BlockSampler(rngs.get("browser", line, b), min_run=0)
-                if profiling:
-                    samplers.append(rng)
                 env.process(
                     self._browser(
-                        sim, line, scenario, sampler, rng,
+                        sim, line, scenario, sampler,
+                        rngs.get("browser", line, b),
                         meters[line], latency, latency_samples, wirt,
                     )
                 )
@@ -574,12 +571,6 @@ class SimulationBackend(PerformanceBackend):
             diagnostics["profile.events_per_second"] = (
                 dispatched / sim_wall if sim_wall > 0 else 0.0
             )
-            diagnostics["profile.rng_streams"] = float(len(samplers))
-            for counter in ("scalar_draws", "block_draws", "fills",
-                            "rewinds"):
-                diagnostics[f"profile.rng_{counter}"] = float(
-                    sum(getattr(s, counter) for s in samplers)
-                )
         attempted = total_completed + total_errors
         per_line = (
             {line: m.completed / duration for line, m in meters.items()}

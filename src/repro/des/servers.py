@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from repro.cluster.appserver import AppServerModel
 from repro.cluster.context import WorkloadContext
 from repro.cluster.database import DatabaseModel
@@ -24,7 +26,6 @@ from repro.cluster.proxy import ProxyModel
 from repro.sim.core import Environment
 from repro.sim.resources import QueueFullError, Resource
 from repro.tpcw.profiles import InteractionProfile
-from repro.util.rng import RandomSource
 from repro.util.stats import RunningStats
 
 __all__ = ["NodeSim", "ProxyServerSim", "AppServerSim", "DbServerSim"]
@@ -63,13 +64,15 @@ class NodeSim:
         self.nic_bytes = 0.0
         self.latency = RunningStats()
 
-    def _sample(self, rng: RandomSource, mean: float) -> float:
+    def _sample(self, rng: np.random.Generator, mean: float) -> float:
         """Exponential service time around ``mean`` with the swap penalty."""
         if mean <= 0.0:
             return 0.0
-        return float(rng.exponential(mean)) * self.memory_penalty
+        # One standard draw scaled by the mean, as rng.exponential(mean)
+        # computes it, then the swap penalty.
+        return rng.standard_exponential() * mean * self.memory_penalty
 
-    def use_cpu(self, rng: RandomSource, mean_seconds: float):
+    def use_cpu(self, rng: np.random.Generator, mean_seconds: float):
         """Hold one CPU core for a sampled service time (generator).
 
         The per-request flows below inline this body (acquire, sampled
@@ -87,7 +90,7 @@ class NodeSim:
         finally:
             req.release()
 
-    def use_disk(self, rng: RandomSource, mean_seconds: float):
+    def use_disk(self, rng: np.random.Generator, mean_seconds: float):
         """Hold the disk for a sampled service time (generator)."""
         req = self.disk.acquire()
         yield req
@@ -129,7 +132,7 @@ class ProxyServerSim(NodeSim):
         )
         self.mean_obj = ctx.catalog.mean_object_bytes()
 
-    def classify(self, rng: RandomSource) -> str:
+    def classify(self, rng: np.random.Generator) -> str:
         """Draw the cache outcome for one static object request."""
         u = rng.random()
         if u < self.mem_hit:
@@ -138,7 +141,7 @@ class ProxyServerSim(NodeSim):
             return "disk"
         return "miss"
 
-    def serve_static(self, rng: RandomSource, size: float):
+    def serve_static(self, rng: np.random.Generator, size: float):
         """Serve one static object; returns the outcome ("mem"/"disk"/"miss").
 
         On a miss the caller forwards to the application tier and then calls
@@ -180,7 +183,7 @@ class ProxyServerSim(NodeSim):
         self.account_nic(size + 600.0)
         return outcome
 
-    def accept_page(self, rng: RandomSource, cacheable: bool):
+    def accept_page(self, rng: np.random.Generator, cacheable: bool):
         """Handle a page request; returns True if served from cache."""
         m = self.model
         req = self.cpu.acquire()
@@ -207,7 +210,7 @@ class ProxyServerSim(NodeSim):
                 return True
         return False
 
-    def relay(self, rng: RandomSource, size: float):
+    def relay(self, rng: np.random.Generator, size: float):
         """Relay a response fetched from the application tier."""
         m = self.model
         req = self.cpu.acquire()
@@ -244,7 +247,7 @@ class AppServerSim(NodeSim):
         )
         self.mean_obj = ctx.catalog.mean_object_bytes()
 
-    def _spawn_cost(self, rng: RandomSource) -> float:
+    def _spawn_cost(self, rng: np.random.Generator) -> float:
         """Thread-churn cost: spawning when the warm pool is exceeded."""
         m = self.model
         warm = float(self.cfg["minProcessors"])
@@ -254,7 +257,7 @@ class AppServerSim(NodeSim):
         prob = self.ctx.burstiness * (busy - warm) / max(busy, 1.0) * 0.25
         return m.SPAWN_CPU if rng.random() < prob else 0.0
 
-    def serve_static(self, rng: RandomSource, size: float):
+    def serve_static(self, rng: np.random.Generator, size: float):
         """Serve a proxy cache miss from the servlet container's files."""
         m = self.model
         req = self.http_pool.acquire()
@@ -286,7 +289,7 @@ class AppServerSim(NodeSim):
 
     def serve_page(
         self,
-        rng: RandomSource,
+        rng: np.random.Generator,
         profile: InteractionProfile,
         db_call,  # generator factory: () -> generator running the DB work
     ):
@@ -376,13 +379,13 @@ class DbServerSim(NodeSim):
         """Integerize a fractional per-page operation count.
 
         ``u`` is a pre-drawn uniform — the four per-page counts consume
-        one site-directed block of four (stream-identical to four scalar
+        one vectorised draw of four (stream-identical to four scalar
         draws).
         """
         base = int(mean)
         return base + (1 if u < mean - base else 0)
 
-    def run_queries(self, rng: RandomSource, profile: InteractionProfile):
+    def run_queries(self, rng: np.random.Generator, profile: InteractionProfile):
         """Execute one dynamic page's database work inside one connection."""
         m = self.model
         conn = self.conn_pool.acquire()

@@ -58,8 +58,8 @@ class ExperimentConfig:
     #: Speculatively prefetch the tuning loop's lookahead frontier
     #: (the ``--speculate`` switch; results are bit-identical either way).
     speculate: bool = False
-    #: Record simulator observability diagnostics (event counts, RNG draw
-    #: accounting, per-phase wall-clock) in the DES arms' measurements
+    #: Record simulator observability diagnostics (kernel entry counts,
+    #: per-phase wall-clock) in the DES arms' measurements
     #: (the ``--profile`` switch).  Analytic measurements are unaffected
     #: and results are bit-identical either way.
     profile: bool = False

@@ -1,29 +1,40 @@
 """Event loop and primitive events for the simulation kernel.
 
-The heap entry, not the :class:`Event` object, is the unit of
-scheduling.  Entries are ``(at, seq, event, process)`` 4-tuples; a plain
-timer wakeup — the dominant operation in the DES, one per think/service
-delay — is a ``(at, seq, None, process)`` *resume record* that resumes
-the waiting process directly from the scheduler, with no ``Event``
-allocation, no callback list and no bound-method callback.  Processes
-wait on real events through a single ``_waiter`` slot when possible,
-and :meth:`Environment.run` dispatches with the heap bindings hoisted
-into locals.
+The schedule entry, not the :class:`Event` object, is the unit of
+scheduling.  Entries are ``(at, seq, event, process)`` 4-tuples:
 
-Scheduling follows one total ``(at, seq)`` order, and a process yielding
-a bare ``float`` acquires its sequence number at the same point in the
-schedule stream as ``yield env.timeout(...)`` does, so the two spellings
-of a delay simulate bit-identically.  ``tests/fixtures/des_golden.json``
-pins the simulator's output byte for byte.
+* ``(at, seq, event, None)`` delivers ``event`` to its waiters;
+* ``(at, seq, None, process)`` is a *resume record*: it resumes the
+  process directly, with no ``Event`` allocation, no callback list and
+  no bound-method callback.  Plain delays (a yielded ``float``) and
+  process kicks are resume records;
+* ``(at, seq, request, process)`` is a *grant record*
+  (:mod:`repro.sim.resources`): it sends the granted ``request`` into
+  the process that waits on it, exactly what delivering the request as
+  an event would do.  A grant record the process no longer waits on (it
+  was interrupted or moved on) is delivered as the plain event.
+
+Dispatch follows one total ``(at, seq)`` order.  Two queues hold it: a
+heap for entries in the future and a FIFO for entries whose computed
+time equals the current clock -- kicks, grants, event triggers and zero
+or float-absorbed delays (``now + d == now``), most of the DES's work.
+Every heap entry at ``now`` was pushed before the clock reached ``now``,
+so it holds a smaller seq than anything in the FIFO; the loop therefore
+drains heap entries at ``now`` first and the FIFO after them, which
+reproduces the single-heap order without a heap push or pop for
+same-instant work.  A process yielding a bare ``float`` acquires its
+sequence number at the same point in the schedule stream as
+``yield env.timeout(...)`` does, so the two spellings of a delay
+simulate bit-identically.  ``tests/fixtures/sim_order.json`` pins the
+dispatch order and ``tests/fixtures/des_golden.json`` the simulator's
+output, byte for byte.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.sim.process import Process
+from collections import deque
+from typing import Any, Callable, Generator, Optional
 
 __all__ = ["Environment", "Event", "Timeout", "Interrupt", "SimulationError"]
 
@@ -110,7 +121,7 @@ class Event:
         env = self.env
         env._seq = seq = env._seq + 1
         env._n_events += 1
-        _heappush(env._queue, (env._now, seq, self, None))
+        env._ready.append((env._now, seq, self, None))
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -124,7 +135,7 @@ class Event:
         env = self.env
         env._seq = seq = env._seq + 1
         env._n_events += 1
-        _heappush(env._queue, (env._now, seq, self, None))
+        env._ready.append((env._now, seq, self, None))
         return self
 
     def add_callback(self, fn: Callable[["Event"], None]) -> None:
@@ -168,15 +179,20 @@ class Timeout(Event):
 
 
 class Environment:
-    """The simulation clock and event queue."""
+    """The simulation clock and its two queues (see the module docstring)."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_active", "_n_events")
+    __slots__ = ("_now", "_queue", "_ready", "_seq", "_active", "_n_events")
 
     def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
+        #: Entries after ``now``, a heap ordered by ``(at, seq)``.
         self._queue: list[
             tuple[float, int, Optional[Event], Optional["Process"]]
         ] = []
+        #: Entries at ``now`` in seq order, drained after the heap's.
+        self._ready: deque[
+            tuple[float, int, Optional[Event], Optional["Process"]]
+        ] = deque()
         self._seq = 0
         self._active: Optional["Process"] = None
         self._n_events = 0
@@ -194,20 +210,20 @@ class Environment:
     # -- observability --------------------------------------------------
     @property
     def scheduled_entries(self) -> int:
-        """Total heap entries scheduled so far (events + resume records)."""
+        """Total entries scheduled so far (events and records)."""
         return self._seq
 
     @property
     def pending_entries(self) -> int:
-        """Heap entries not yet dispatched."""
-        return len(self._queue)
+        """Entries not yet dispatched."""
+        return len(self._queue) + len(self._ready)
 
     @property
     def fast_resumes(self) -> int:
-        """Resume records scheduled without an :class:`Event` allocation.
+        """Resume and grant records: entries that resume a process directly.
 
         Derived as total entries minus event-carrying entries, so the
-        hot delay path never touches a counter.
+        hot paths never touch a counter.
         """
         return self._seq - self._n_events
 
@@ -222,50 +238,58 @@ class Environment:
 
     def process(self, generator: Generator) -> "Process":
         """Start a new :class:`Process` running ``generator``."""
-        from repro.sim.process import Process
-
         return Process(self, generator)
 
     # -- scheduling -----------------------------------------------------
     def _schedule(self, at: float, event: Event) -> None:
         self._seq = seq = self._seq + 1
         self._n_events += 1
-        _heappush(self._queue, (at, seq, event, None))
+        if at == self._now:
+            self._ready.append((at, seq, event, None))
+        else:
+            _heappush(self._queue, (at, seq, event, None))
 
     def _schedule_resume(self, at: float, process: "Process") -> int:
         """Schedule a bare resume record for ``process``; returns its seq.
 
-        The process is resumed with ``(None, None)`` when the record is
+        The process is resumed with ``None`` when the record is
         dispatched, unless its ``_resume_seq`` no longer matches (the
         record went stale through an interrupt or the process moved on).
         """
         self._seq = seq = self._seq + 1
-        _heappush(self._queue, (at, seq, None, process))
+        if at == self._now:
+            self._ready.append((at, seq, None, process))
+        else:
+            _heappush(self._queue, (at, seq, None, process))
         return seq
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if none."""
+        """Time of the next scheduled entry, or ``inf`` if none."""
+        if self._ready:
+            return self._now
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
-        """Process exactly one heap entry (event or resume record)."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        entry = _heappop(self._queue)
-        self._now = entry[0]
-        event = entry[2]
-        if event is not None:
-            event._process()
+        """Dispatch exactly one entry (event, resume or grant record)."""
+        queue = self._queue
+        if self._ready and not (queue and queue[0][0] == self._now):
+            _, seq, event, process = self._ready.popleft()
+        elif queue:
+            self._now, seq, event, process = _heappop(queue)
         else:
-            process = entry[3]
-            if process._resume_seq == entry[1]:
-                process._step(None, None)
+            raise SimulationError("step() on an empty event queue")
+        if event is not None:
+            # An event, or a grant record: delivering the request as an
+            # event resumes its waiting process exactly as the record would.
+            event._process()
+        elif process._resume_seq == seq:
+            process._step(None, None)
 
     def run(self, until: Optional[float] = None) -> float:
-        """Run events until the queue is empty or the clock passes ``until``.
+        """Run entries until none remain or the clock would pass ``until``.
 
         Returns the final simulated time.  When ``until`` is given the clock
-        is advanced to exactly ``until`` even if no event lands there.
+        is advanced to exactly ``until`` even if no entry lands there.
         """
         if until is not None:
             if until < self._now:
@@ -276,20 +300,32 @@ class Environment:
         else:
             limit = _INF
         queue = self._queue
+        ready = self._ready
+        popleft = ready.popleft
         pop = _heappop
         push = _heappush
-        while queue:
-            at, seq, event, process = pop(queue)
-            if at > limit:
-                # Too far: restore the entry and stop.
-                push(queue, (at, seq, event, process))
+        now = self._now
+        while True:
+            if ready:
+                # Heap entries at ``now`` hold smaller seqs than the FIFO's.
+                if queue and queue[0][0] == now:
+                    at, seq, event, process = pop(queue)
+                else:
+                    at, seq, event, process = popleft()
+            elif queue:
+                at, seq, event, process = pop(queue)
+                if at > limit:
+                    # Too far: restore the entry and stop.
+                    push(queue, (at, seq, event, process))
+                    break
+                self._now = now = at
+            else:
                 break
-            self._now = at
             if event is None:
                 if process._resume_seq != seq:
                     continue  # stale record (interrupted / moved on)
                 value = None
-            else:
+            elif process is None:
                 # Event delivery.  The dominant shape — one waiter, no
                 # callbacks, no failure — feeds straight into the inlined
                 # send below; anything else takes the full _process path.
@@ -307,31 +343,65 @@ class Environment:
                 waiter._waiting_on = None
                 process = waiter
                 value = event._value
+            else:
+                # Grant record.  A process that moved on, or other
+                # registrations on the request, take the event path.
+                if process._resume_seq != seq or event._callbacks is not None:
+                    event._process()
+                    continue
+                event._processed = True
+                event._waiter = None
+                process._waiting_on = None
+                value = event
             # Inline of Process._step for the dominant resume /
-            # single-waiter delivery cycle; non-delay yields fall back to
+            # single-waiter delivery cycle; other yields fall back to
             # Process._wait_on.
             self._active = process
             try:
                 target = process._generator.send(value)
             except StopIteration as stop:
+                # Here and below: a grant record this step made must not
+                # resume the finished process.
                 self._active = None
+                process._resume_seq = -1
                 process.succeed(stop.value)
                 continue
             except Interrupt as unhandled:
                 self._active = None
+                process._resume_seq = -1
                 process.fail(unhandled)
                 continue
             except Exception as err:
                 self._active = None
+                process._resume_seq = -1
                 process.fail(err)
                 continue
             self._active = None
             if target.__class__ is float and target >= 0.0:
                 self._seq = seq = self._seq + 1
-                push(queue, (at + target, seq, None, process))
+                when = now + target
+                if when == now:
+                    ready.append((now, seq, None, process))
+                else:
+                    push(queue, (when, seq, None, process))
                 process._resume_seq = seq
+                process._waiting_on = None  # a request acquired, not yielded
+            elif (
+                target is process._waiting_on
+                and target is not None
+                and target._callbacks is None
+            ):
+                # The request this step's acquire() made: register the
+                # process as its waiter (its grant record, if any, is
+                # already scheduled).
+                target._waiter = process
             else:
                 process._wait_on(target)
         if until is not None:
             self._now = max(self._now, until)
         return self._now
+
+
+# Process subclasses Event and is driven by the loop above, so it lives
+# in its own module, which imports this one.
+from repro.sim.process import Process  # noqa: E402

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Any, Generator, Optional
+from typing import Any, Generator, Iterable, Optional
 
-from repro.sim.core import (
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    _heappush,
-)
+from repro.sim.core import Environment, Event, Interrupt, SimulationError
 
-__all__ = ["Process"]
+__all__ = ["Process", "Join"]
 
 
 class Process(Event):
@@ -30,6 +24,14 @@ class Process(Event):
     delay acquires its schedule position at the yield, exactly where a
     ``Timeout`` constructor would acquire its, so both spellings simulate
     bit-identically.
+
+    ``_waiting_on`` is the event the process waits on.  While the process
+    runs it is ``None``, except that a resource acquire made in the
+    current step stores its request there (see
+    :meth:`repro.sim.resources.Resource.acquire`): yielding that request
+    next then registers the wait without a :meth:`_wait_on` call.
+    ``_resume_seq`` is the seq of the one record that may resume the
+    process; every other record for it is stale.
     """
 
     __slots__ = ("_generator", "_waiting_on", "_resume_seq")
@@ -40,8 +42,11 @@ class Process(Event):
         super().__init__(env)
         self._generator = generator
         self._waiting_on: Optional[Event] = None
-        # Kick off at the current time via a bare resume record.
-        self._resume_seq = env._schedule_resume(env._now, self)
+        # Kick off at the current time via a bare resume record (due now,
+        # so it goes straight to the FIFO).
+        env._seq = seq = env._seq + 1
+        env._ready.append((env._now, seq, None, self))
+        self._resume_seq = seq
 
     @property
     def is_alive(self) -> bool:
@@ -86,6 +91,15 @@ class Process(Event):
         ``float``: a real :class:`Event` wait, a negative delay (error) or
         a non-event (error).
         """
+        if (
+            target is self._waiting_on
+            and target is not None
+            and target._callbacks is None
+        ):
+            # The request this step's acquire() made (see the class
+            # docstring): its grant record, if any, is already scheduled.
+            target._waiter = self
+            return
         if target.__class__ is float:
             self._step(
                 None, SimulationError(f"negative timeout delay: {target}")
@@ -97,6 +111,9 @@ class Process(Event):
                 SimulationError(f"process yielded non-event {target!r}"),
             )
             return
+        # A grant record made in this step is not what the process waits
+        # for now; the request is delivered as its event instead.
+        self._resume_seq = -1
         self._waiting_on = target
         if (
             not target._processed
@@ -117,22 +134,72 @@ class Process(Event):
             else:
                 target = self._generator.send(value)
         except StopIteration as stop:
+            self._resume_seq = -1
             self.succeed(stop.value)
             return
         except Interrupt as unhandled:
+            self._resume_seq = -1
             self.fail(unhandled)
             return
         except Exception as err:
+            self._resume_seq = -1
             self.fail(err)
             return
         finally:
             env._active = prev
 
         if target.__class__ is float and target >= 0.0:
-            # Bare delay: one heap record, no Event machinery.
+            # Bare delay: one resume record, no Event machinery.
             self._waiting_on = None
-            env._seq = seq = env._seq + 1
-            _heappush(env._queue, (env._now + target, seq, None, self))
-            self._resume_seq = seq
+            self._resume_seq = env._schedule_resume(env._now + target, self)
         else:
             self._wait_on(target)
+
+
+class Join(Event):
+    """Run generators as concurrent child processes; trigger when all end.
+
+    ``yield Join(env, generators)`` resumes the parent at the instant,
+    and in the schedule slot, at which the last child finishes: where
+    yielding each child process in turn would resume it.  The children
+    report to the join instead of triggering completion events of their
+    own, so only the last completion takes a slot.  The join succeeds
+    with ``None``; the first child to raise fails it with that exception
+    at once, and later endings are dropped.  A join over no generators
+    succeeds at once.
+    """
+
+    __slots__ = ("_pending",)
+
+    def __init__(self, env: Environment, generators: Iterable[Generator]) -> None:
+        super().__init__(env)
+        self._pending = 0
+        for generator in generators:
+            # A child first runs at its kick, after this constructor.
+            _JoinedProcess(env, generator)._join = self
+            self._pending += 1
+        if not self._pending:
+            self.succeed()
+
+
+class _JoinedProcess(Process):
+    """A :class:`Join` child: its ending counts the join down instead of
+    scheduling its own completion event (nothing else can wait on it)."""
+
+    __slots__ = ("_join",)
+
+    def succeed(self, value: Any = None) -> "_JoinedProcess":
+        self._triggered = True
+        self._value = value
+        join = self._join
+        join._pending -= 1
+        if not join._pending and not join._triggered:
+            join.succeed()
+        return self
+
+    def fail(self, exc: BaseException) -> "_JoinedProcess":
+        self._triggered = True
+        self._exc = exc
+        if not self._join._triggered:
+            self._join.fail(exc)
+        return self

@@ -11,17 +11,10 @@ existing streams).
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
 
 import numpy as np
 
-__all__ = [
-    "derive_seed",
-    "spawn_rng",
-    "RngFactory",
-    "BlockSampler",
-    "RandomSource",
-]
+__all__ = ["derive_seed", "spawn_rng", "RngFactory"]
 
 _MASK64 = (1 << 64) - 1
 
@@ -92,272 +85,3 @@ class RngFactory:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngFactory(seed={self._seed})"
-
-
-class BlockSampler:
-    """Block-buffered facade over a :class:`numpy.random.Generator`.
-
-    Serves exactly the value stream scalar ``Generator`` calls would
-    produce, bit for bit, while amortizing numpy's per-call overhead:
-
-    * For ``random`` and ``standard_exponential`` (and ``exponential``,
-      which numpy computes as ``standard_exponential() * scale``),
-      vectorized draws consume the underlying bit stream identically to
-      the same number of scalar draws, so a pre-drawn block can be
-      served element by element.
-    * A run of ``min_run`` consecutive same-distribution scalar requests
-      triggers a block fill of ``block`` values; callers that know their
-      run length up front pass ``size`` directly (a *site-directed*
-      block).  ``min_run=0`` disables the automatic fill — scalar draws
-      pass straight through and only site-directed blocks buffer, which
-      is the right trade for workloads that interleave distributions
-      every few draws (the DES does).
-    * Switching distributions with values still buffered **rewinds** the
-      generator to the canonical scalar position: the pre-fill state is
-      restored and the consumed prefix is redrawn in one vectorized
-      call, so the next draw — of any distribution — sees the exact
-      state a pure-scalar caller would.
-    * ``integers(n)`` with varying bounds is *not* stream-stable under
-      batching, so it always flushes and passes through scalar.
-
-    The counters (``scalar_draws``/``block_draws``/``fills``/
-    ``rewinds``) feed ``SimulationBackend(profile=True)`` diagnostics.
-    """
-
-    __slots__ = (
-        "_rng",
-        "_bits",
-        "_random",
-        "_std_exp",
-        "block",
-        "min_run",
-        "_kind",
-        "_buf",
-        "_pos",
-        "_len",
-        "_state0",
-        "_last",
-        "_run",
-        "scalar_draws",
-        "block_draws",
-        "fills",
-        "rewinds",
-    )
-
-    _UNIFORM = 1
-    _EXPONENTIAL = 2
-
-    def __init__(
-        self,
-        rng: np.random.Generator,
-        block: int = 1024,
-        min_run: int = 16,
-    ) -> None:
-        if block < 2:
-            raise ValueError(f"block must be >= 2, got {block}")
-        if min_run < 0 or min_run == 1:
-            raise ValueError(f"min_run must be 0 or >= 2, got {min_run}")
-        self._rng = rng
-        self._bits = rng.bit_generator
-        # Cached bound methods: the scalar fast path skips one attribute
-        # lookup per draw.
-        self._random = rng.random
-        self._std_exp = rng.standard_exponential
-        self.block = int(block)
-        self.min_run = int(min_run)
-        self._kind = 0  # active buffer's distribution (0 = none)
-        self._buf: Optional[np.ndarray] = None
-        self._pos = 0
-        self._len = 0
-        self._state0: Optional[dict] = None
-        self._last = 0  # distribution of the most recent request
-        self._run = 0  # current same-distribution request streak
-        self.scalar_draws = 0
-        self.block_draws = 0
-        self.fills = 0
-        self.rewinds = 0
-
-    # -- stream maintenance -------------------------------------------
-    def _rewind(self) -> None:
-        """Return the generator to the canonical scalar position.
-
-        Restores the pre-fill bit-generator state, then redraws the
-        *consumed* prefix in one vectorized call (which advances the
-        stream exactly as the served scalar draws did), discarding the
-        unserved tail.
-        """
-        pos = self._pos
-        self._bits.state = self._state0
-        if pos:
-            if self._kind == self._UNIFORM:
-                self._random(pos)
-            else:
-                self._std_exp(pos)
-        self._kind = 0
-        self._buf = None
-        self.rewinds += 1
-
-    def flush(self) -> np.random.Generator:
-        """Drop any buffered tail and return the underlying generator.
-
-        After a flush the generator sits at the exact position a
-        pure-scalar caller would have reached; use this before handing
-        the stream to code that bypasses the sampler.
-        """
-        if self._kind:
-            self._rewind()
-        self._last = 0
-        self._run = 0
-        return self._rng
-
-    def _fill(self, kind: int) -> float:
-        """Pre-draw a block for ``kind`` and serve its first value."""
-        self._state0 = self._bits.state
-        if kind == self._UNIFORM:
-            buf = self._random(self.block)
-        else:
-            buf = self._std_exp(self.block)
-        self._buf = buf
-        self._kind = kind
-        self._pos = 1
-        self._len = self.block
-        self.fills += 1
-        self.block_draws += 1
-        return float(buf[0])
-
-    def _scalar(self, kind: int) -> float:
-        """One scalar draw of ``kind`` (no live buffer for that kind)."""
-        if self._kind:  # buffered tail of the *other* distribution
-            self._rewind()
-        if self._last != kind:
-            self._last = kind
-            self._run = 1
-        else:
-            run = self._run + 1
-            if self.min_run and run >= self.min_run:
-                return self._fill(kind)
-            self._run = run
-        self.scalar_draws += 1
-        if kind == self._UNIFORM:
-            return self._random()
-        return float(self._std_exp())
-
-    def _draw_block(self, kind: int, size: int) -> np.ndarray:
-        """A site-directed block of ``size`` values of ``kind``."""
-        n = int(size)
-        if self._kind == kind and self._len - self._pos >= n:
-            pos = self._pos
-            out = self._buf[pos:pos + n]
-            pos += n
-            if pos == self._len:
-                self._kind = 0
-                self._buf = None
-            self._pos = pos
-            self.block_draws += n
-            return out
-        if self._kind:
-            self._rewind()
-        self._last = kind
-        self._run = 0
-        self.block_draws += n
-        if kind == self._UNIFORM:
-            return self._random(n)
-        return self._std_exp(n)
-
-    # -- the numpy.random.Generator surface the DES consumes ----------
-    def random(self, size: Optional[int] = None):
-        """Uniform [0, 1) draw(s); stream-identical to scalar calls."""
-        kind = self._kind
-        if size is not None:
-            return self._draw_block(self._UNIFORM, size)
-        if not kind:
-            # Scalar hot path, inlined: no live buffer of either kind.
-            min_run = self.min_run
-            if not min_run:  # auto-fill disabled: plain passthrough
-                self.scalar_draws += 1
-                return self._random()
-            if self._last == self._UNIFORM:
-                run = self._run + 1
-                if run >= min_run:
-                    return self._fill(self._UNIFORM)
-                self._run = run
-            else:
-                self._last = self._UNIFORM
-                self._run = 1
-            self.scalar_draws += 1
-            return self._random()
-        if kind == self._UNIFORM:
-            pos = self._pos
-            v = self._buf[pos]
-            pos += 1
-            if pos == self._len:
-                self._kind = 0
-                self._buf = None
-            self._pos = pos
-            self.block_draws += 1
-            return float(v)
-        return self._scalar(self._UNIFORM)
-
-    def standard_exponential(self, size: Optional[int] = None):
-        """Unit-mean exponential draw(s); stream-identical to scalar."""
-        kind = self._kind
-        if size is not None:
-            return self._draw_block(self._EXPONENTIAL, size)
-        if not kind:
-            min_run = self.min_run
-            if not min_run:  # auto-fill disabled: plain passthrough
-                self.scalar_draws += 1
-                return float(self._std_exp())
-            if self._last == self._EXPONENTIAL:
-                run = self._run + 1
-                if run >= min_run:
-                    return self._fill(self._EXPONENTIAL)
-                self._run = run
-            else:
-                self._last = self._EXPONENTIAL
-                self._run = 1
-            self.scalar_draws += 1
-            return float(self._std_exp())
-        if kind == self._EXPONENTIAL:
-            pos = self._pos
-            v = self._buf[pos]
-            pos += 1
-            if pos == self._len:
-                self._kind = 0
-                self._buf = None
-            self._pos = pos
-            self.block_draws += 1
-            return float(v)
-        return self._scalar(self._EXPONENTIAL)
-
-    def exponential(self, scale: float = 1.0) -> float:
-        """``Exp(scale)`` draw — numpy computes this exact product."""
-        return self.standard_exponential() * scale
-
-    def integers(self, low, high=None):
-        """Scalar passthrough: bounded draws are not block-stable."""
-        if self._kind:
-            self._rewind()
-        self._last = 0
-        self._run = 0
-        self.scalar_draws += 1
-        return self._rng.integers(low, high)
-
-    def stats(self) -> dict[str, int]:
-        """Draw-accounting counters (for profile diagnostics)."""
-        return {
-            "scalar_draws": self.scalar_draws,
-            "block_draws": self.block_draws,
-            "fills": self.fills,
-            "rewinds": self.rewinds,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BlockSampler(block={self.block}, min_run={self.min_run}, "
-            f"scalar={self.scalar_draws}, block_served={self.block_draws})"
-        )
-
-
-#: Anything the DES draws from: a raw generator or the block facade.
-RandomSource = Union[np.random.Generator, BlockSampler]

@@ -38,7 +38,7 @@ __all__ = [
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures" / "des_golden.json"
 
 #: Seeds and time scales of the matrix (3 scenarios x 3 seeds x 2 scales
-#: is the issue's floor; we pin four scenarios).
+#: is the floor; five scenarios are pinned).
 SEEDS = (3, 11, 29)
 TIME_SCALES = (0.02, 0.05)
 

@@ -18,7 +18,9 @@ instant:
   be released when granted);
 * ``Event.succeed``/``fail`` of a shared signal from another process;
 * children that finish before and after their parent waits, children
-  nobody waits for, and fan-outs awaited child by child;
+  nobody waits for, and fan-outs awaited child by child (or, with
+  ``join=True``, through one :class:`~repro.sim.process.Join`, which
+  must resume the parent in the same place);
 * ``interrupt()``, ``add_callback``, single ``step()`` calls and
   ``run(until=...)``.
 
@@ -38,6 +40,7 @@ import pathlib
 import numpy as np
 
 from repro.sim.core import Environment, Interrupt
+from repro.sim.process import Join
 from repro.sim.resources import QueueFullError, Resource
 
 __all__ = ["CASES", "FIXTURE_PATH", "run_case", "generate_fixture"]
@@ -84,9 +87,10 @@ def _release_granted(request) -> None:
 class Script:
     """One case: the environment, its shared objects and the resume log."""
 
-    def __init__(self, seed: int, t0: float) -> None:
+    def __init__(self, seed: int, t0: float, join: bool = False) -> None:
         self.env = Environment(initial_time=t0)
         self.t0 = t0
+        self.join = join
         self.rng = np.random.default_rng(seed)
         self.log: list[str] = []
         self.resources = [
@@ -284,8 +288,11 @@ class Script:
         children = [
             self.program(CHILD_OPS, 1 + self.pick(2)) for _ in range(count)
         ]
-        for proc in [self.env.process(gen) for gen in children]:
-            yield proc
+        if self.join:
+            yield Join(self.env, children)
+        else:
+            for proc in [self.env.process(gen) for gen in children]:
+                yield proc
         self.note(pid, step, f"joined-{count}")
 
     def _interrupt(self, pid: int, step: int):
@@ -328,9 +335,9 @@ class Script:
         return self.log
 
 
-def run_case(seed: int, t0: float) -> list[str]:
-    """The resume log of one case."""
-    return Script(seed, t0).run()
+def run_case(seed: int, t0: float, join: bool = False) -> list[str]:
+    """The resume log of one case (fan-outs through a Join if ``join``)."""
+    return Script(seed, t0, join).run()
 
 
 def generate_fixture() -> dict:

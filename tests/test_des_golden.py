@@ -1,9 +1,11 @@
 """DES byte-identity gate: the simulator vs the seed-backend fixture.
 
 ``tests/fixtures/des_golden.json`` was generated from the *seed* backend
-before the lean kernel and block-sampled RNG landed; every case must
-still reproduce byte for byte (floats compared via ``float.hex()``).  A
-single reordered event or extra random draw fails this suite.
+before the lean kernel and the (since deleted) block-sampled RNG landed;
+its rejecting case was added later, generated by the heap-only kernel
+before same-instant entries moved to a FIFO.  Every case must still
+reproduce byte for byte (floats compared via ``float.hex()``).  A single
+reordered event or extra random draw fails this suite.
 """
 
 import json

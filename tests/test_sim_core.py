@@ -35,6 +35,65 @@ class TestEnvironment:
         assert env.peek() == float("inf")
         env.timeout(3.0)
         assert env.peek() == 3.0
+        env.timeout(0.0)  # due now: the same-instant FIFO
+        assert env.peek() == 0.0
+        assert env.pending_entries == 2
+
+
+class TestSameInstantOrder:
+    """Entries due now go through a FIFO, drained after the heap's."""
+
+    def test_heap_entries_at_now_precede_fifo(self):
+        env = Environment()
+        order = []
+
+        def proc(name, delays):
+            for d in delays:
+                yield d
+            order.append(name)
+
+        # a and b land on t=1.0 through the heap (pushed at t=0); a's
+        # zero delay at t=1.0 then queues behind b's heap entry.
+        env.process(proc("a", [1.0, 0.0]))
+        env.process(proc("b", [1.0]))
+        env.run()
+        assert order == ["b", "a"]
+
+    def test_absorbed_delay_keeps_seq_order(self):
+        # At 1e6 a 1e-12 delay is absorbed (now + d == now): it is due
+        # now and must not overtake the zero delay scheduled before it.
+        env = Environment(1e6)
+        order = []
+
+        def proc(name, delay):
+            yield delay
+            order.append((name, env.now))
+
+        env.process(proc("zero", 0.0))
+        env.process(proc("absorbed", 1e-12))
+        env.run()
+        assert order == [("zero", 1e6), ("absorbed", 1e6)]
+
+    def test_step_follows_run_order(self):
+        def build(log):
+            env = Environment()
+
+            def proc(name, delays):
+                for d in delays:
+                    yield d
+                    log.append((name, env.now))
+
+            env.process(proc("a", [1.0, 0.0, 0.0]))
+            env.process(proc("b", [1.0, 0.0]))
+            env.process(proc("c", [0.0, 1.0]))
+            return env
+
+        ran, stepped = [], []
+        build(ran).run()
+        env = build(stepped)
+        while env.peek() != float("inf"):
+            env.step()
+        assert stepped == ran
 
 
 class TestTimeout:

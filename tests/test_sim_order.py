@@ -6,7 +6,8 @@ heap-only kernel produced for the scripts in ``tests/sim_order_cases.py``
 requests yielded late, watched, paired or abandoned, signals, children,
 interrupts, callbacks, ``step()`` and ``run(until=...)``).  Every entry
 must still be dispatched in the same ``(at, seq)`` order, so every log
-must match line for line.
+must match line for line.  Waiting on a fan-out of children through
+one :class:`~repro.sim.process.Join` must leave every log unchanged too.
 """
 
 import json
@@ -40,3 +41,10 @@ def test_fixture_covers_every_case():
 )
 def test_resume_order_matches_heap_kernel(seed, t0):
     assert run_case(seed, t0) == _EXPECTED[(seed, t0)]
+
+
+@pytest.mark.parametrize(
+    "seed,t0", CASES, ids=[f"seed{s}-t{t0:g}" for s, t0 in CASES]
+)
+def test_join_resumes_where_waiting_in_turn_does(seed, t0):
+    assert run_case(seed, t0, join=True) == _EXPECTED[(seed, t0)]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim.core import Environment, Interrupt, SimulationError
-from repro.sim.process import Process
+from repro.sim.process import Join, Process
 
 
 class TestProcessBasics:
@@ -203,3 +203,73 @@ class TestInterrupt:
         env.run()
         assert resumed == ["interrupt", "after"]
         assert p.triggered
+
+
+class TestJoin:
+    def test_resumes_when_the_last_child_ends(self):
+        env = Environment()
+        trace = []
+
+        def child(delay):
+            yield delay
+            trace.append(("child", env.now))
+            return delay
+
+        def parent():
+            value = yield Join(env, [child(d) for d in (2.0, 1.0, 3.0)])
+            trace.append(("parent", env.now, value))
+
+        env.process(parent())
+        env.run()
+        assert trace == [
+            ("child", 1.0), ("child", 2.0), ("child", 3.0),
+            ("parent", 3.0, None),
+        ]
+
+    def test_only_the_last_completion_takes_a_slot(self):
+        env = Environment()
+
+        def child():
+            yield 1.0
+
+        def parent():
+            yield Join(env, [child(), child(), child()])
+
+        env.process(parent())
+        env.run()
+        # parent: kick + completion; children: 3 kicks + 3 delays; the
+        # join: one slot for the last child's end.
+        assert env.scheduled_entries == 9
+
+    def test_empty_join_succeeds_at_once(self):
+        env = Environment()
+        trace = []
+
+        def parent():
+            yield Join(env, [])
+            trace.append(env.now)
+
+        env.process(parent())
+        env.run()
+        assert trace == [0.0]
+
+    def test_first_failure_fails_the_join(self):
+        env = Environment()
+        trace = []
+
+        def ok(delay):
+            yield delay
+
+        def bad(delay):
+            yield delay
+            raise ValueError("lost")
+
+        def parent():
+            try:
+                yield Join(env, [ok(3.0), bad(1.0), bad(2.0)])
+            except ValueError as err:
+                trace.append((env.now, str(err)))
+
+        env.process(parent())
+        env.run()
+        assert trace == [(1.0, "lost")]

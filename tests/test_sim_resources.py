@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.core import Environment, SimulationError
+from repro.sim.core import Environment, Interrupt, SimulationError
 from repro.sim.resources import QueueFullError, Resource
 
 
@@ -215,3 +215,129 @@ class TestUtilization:
         res.reset_stats()
         env.run(until=10.0)
         assert res.utilization() == pytest.approx(0.0)
+
+
+class TestGrantRecords:
+    """Grants resume the waiting process directly, in the grant's slot."""
+
+    def test_grants_in_a_process_are_records(self):
+        env = Environment()
+        res = Resource(env, 1)
+        env.process(_hold(env, res, 1.0))
+        env.process(_hold(env, res, 1.0))
+        env.run()
+        # The 2 kicks, the grant on the spot and the hand-over resume
+        # processes directly; the 2 timeouts and 2 completions are events.
+        assert env.fast_resumes == 4
+        assert env.scheduled_entries == 8
+
+    def test_acquire_outside_a_process_is_an_event(self):
+        env = Environment()
+        res = Resource(env, 1)
+        req = res.acquire()
+        assert env.fast_resumes == 0
+        env.run()
+        assert req.processed and req.value is req
+
+    def test_value_is_the_request_once_granted(self):
+        env = Environment()
+        res = Resource(env, 1, queue_limit=1)
+        seen = []
+
+        def proc():
+            req = res.acquire()
+            got = yield req
+            seen.append(got is req and req.value is req)
+            yield 1.0
+            req.release()
+
+        env.process(proc())
+        env.process(proc())
+        env.run()
+        assert seen == [True, True]
+        held, queued, rejected = res.acquire(), res.acquire(), res.acquire()
+        assert held.value is held
+        assert queued.value is None and rejected.value is None
+        held.release()
+        assert queued.value is queued
+
+    def test_request_yielded_after_another_wait(self):
+        env = Environment()
+        res = Resource(env, 1)
+        trace = []
+
+        def proc():
+            req = res.acquire()
+            yield env.timeout(1.0)  # the grant is delivered meanwhile
+            got = yield req
+            trace.append((env.now, got is req))
+            req.release()
+
+        env.process(proc())
+        env.run()
+        assert trace == [(1.0, True)]
+        assert res.in_service == 0
+
+    def test_process_ending_right_after_acquire(self):
+        env = Environment()
+        res = Resource(env, 1)
+
+        def grab():
+            req = res.acquire()
+            req.release()
+            return "done"
+            yield  # pragma: no cover - makes this a generator
+
+        p = env.process(grab())
+        env.run()
+        assert p.value == "done"
+        assert res.in_service == 0
+
+    def test_callback_on_request_runs_after_waiter(self):
+        env = Environment()
+        res = Resource(env, 1)
+        trace = []
+        box = []
+
+        def holder():
+            req = res.acquire()
+            box.append(req)
+            yield req
+            trace.append("holder")
+            req.release()
+
+        def watcher():
+            # Same instant, after holder yielded, before the grant.
+            box[0].add_callback(lambda _e: trace.append("callback"))
+            yield 0.0
+
+        env.process(holder())
+        env.process(watcher())
+        env.run()
+        assert trace == ["holder", "callback"]
+
+    def test_interrupted_waiter_is_not_resumed_by_handover(self):
+        env = Environment()
+        res = Resource(env, 1)
+        trace = []
+
+        def waiter():
+            req = res.acquire()
+            try:
+                yield req
+            except Interrupt:
+                trace.append(("interrupted", env.now))
+                req.add_callback(lambda e: e.release())
+            yield 5.0
+            trace.append(("woke", env.now))
+
+        def interrupter(target):
+            yield 0.5
+            target.interrupt()
+
+        env.process(_hold(env, res, 1.0))
+        w = env.process(waiter())
+        env.process(interrupter(w))
+        env.run()
+        assert trace == [("interrupted", 0.5), ("woke", 5.5)]
+        assert res.in_service == 0

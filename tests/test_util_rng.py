@@ -44,6 +44,17 @@ class TestSpawnRng:
         b = spawn_rng(7, "y").random(5)
         assert not np.array_equal(a, b)
 
+    def test_exponential_is_std_exp_times_scale(self):
+        # numpy computes Exp(scale) as exactly standard_exponential()*scale.
+        # The DES draws service times as standard_exponential() * mean and
+        # think times as exponential(mean); its golden fixtures rely on
+        # the two spellings drawing identical floats.
+        g1 = spawn_rng(1234, "exp-identity")
+        g2 = spawn_rng(1234, "exp-identity")
+        assert [g1.exponential(0.37) for _ in range(50)] == [
+            g2.standard_exponential() * 0.37 for _ in range(50)
+        ]
+
 
 class TestRngFactory:
     def test_rejects_negative_seed(self):
