@@ -28,8 +28,9 @@ class Process(Event):
     ``_waiting_on`` is the event the process waits on.  While the process
     runs it is ``None``, except that a resource acquire made in the
     current step stores its request there (see
-    :meth:`repro.sim.resources.Resource.acquire`): yielding that request
-    next then registers the wait without a :meth:`_wait_on` call.
+    :meth:`repro.sim.resources.Resource.acquire`): when the run loop sees
+    the process yield that request next, it registers the wait without a
+    :meth:`_wait_on` call.
     ``_resume_seq`` is the seq of the one record that may resume the
     process; every other record for it is stale.
     """
@@ -91,15 +92,6 @@ class Process(Event):
         ``float``: a real :class:`Event` wait, a negative delay (error) or
         a non-event (error).
         """
-        if (
-            target is self._waiting_on
-            and target is not None
-            and target._callbacks is None
-        ):
-            # The request this step's acquire() made (see the class
-            # docstring): its grant record, if any, is already scheduled.
-            target._waiter = self
-            return
         if target.__class__ is float:
             self._step(
                 None, SimulationError(f"negative timeout delay: {target}")
@@ -111,8 +103,8 @@ class Process(Event):
                 SimulationError(f"process yielded non-event {target!r}"),
             )
             return
-        # A grant record made in this step is not what the process waits
-        # for now; the request is delivered as its event instead.
+        # A grant record made in this step is stale from here on: if the
+        # process waits on that request, it gets it as an event.
         self._resume_seq = -1
         self._waiting_on = target
         if (

@@ -319,7 +319,7 @@ class Script:
         yield self.delay()
         self.note(pid, step, "after-callback")
 
-    # -- driver -----------------------------------------------------------
+    # -- running a case -------------------------------------------------
     def run(self) -> list[str]:
         env = self.env
         for _ in range(PROCESSES):
