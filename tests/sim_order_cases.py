@@ -24,10 +24,23 @@ instant:
 * ``interrupt()``, ``add_callback``, single ``step()`` calls and
   ``run(until=...)``.
 
-The fixture (``tests/fixtures/sim_order.json``) was generated by the
-heap-only kernel, which dispatched every entry through one
-``(at, seq)``-ordered heap.  Regenerate it only for a deliberate change
-of dispatch order, and review its diff::
+The *serve* cases (``spelling`` given) add a ``serve`` operation: a
+server of an unbounded capacity-1 or capacity-2 resource held for a
+service time drawn from the shared generator at the grant, around a
+mean drawn from :data:`DELAYS` (zero and the absorbed 1e-12 included).
+Spelled ``"acquire"`` it takes three steps: acquire and yield the
+request, yield ``rng.standard_exponential() * mean * 1.0`` (``0.0`` for
+a zero mean), release in ``finally``, and cancel the request if an
+interrupt finds it queued (release it if one finds it granted).  The
+other scripts' requests share those waiting rooms with the serves.
+Serve cases step through the first stretch one ``step()`` at a time.
+
+The fixture (``tests/fixtures/sim_order.json``) holds both.  Its
+``cases`` were generated by the heap-only kernel, which dispatched every
+entry through one ``(at, seq)``-ordered heap; its ``serve_cases`` by the
+kernel with a same-instant FIFO and grant records, with the three-step
+spelling, before any other spelling of a serve existed.  Regenerate it
+only for a deliberate change of dispatch order, and review its diff::
 
     PYTHONPATH=src python -m tests.sim_order_cases
 """
@@ -43,12 +56,22 @@ from repro.sim.core import Environment, Interrupt
 from repro.sim.process import Join
 from repro.sim.resources import QueueFullError, Resource
 
-__all__ = ["CASES", "FIXTURE_PATH", "run_case", "generate_fixture"]
+__all__ = [
+    "CASES",
+    "SERVE_CASES",
+    "FIXTURE_PATH",
+    "Script",
+    "run_case",
+    "generate_fixture",
+]
 
 FIXTURE_PATH = pathlib.Path(__file__).parent / "fixtures" / "sim_order.json"
 
 #: (seed, initial clock) pairs.  At 1e6 the 1e-12 delay is absorbed.
 CASES = tuple((seed, t0) for t0 in (0.0, 1e6) for seed in range(1, 7))
+#: The serve cases: enough that interrupts find serves queued, granted
+#: (grant not yet dispatched) and serving.
+SERVE_CASES = tuple((seed, t0) for t0 in (0.0, 1e6) for seed in range(1, 11))
 
 #: Delays the scripts draw: zeros, one the 1e6 clock absorbs, and dyadic
 #: values whose sums tie exactly.
@@ -72,6 +95,10 @@ CHILD_OPS = (
     "delay", "timeout", "hold", "hold_late", "hold_pair", "grab", "signal",
     "callback",
 )
+#: The serve cases draw from these instead (serves and interrupts
+#: weighted up, so interrupts often find a serve).
+SERVE_OPS = OPS + ("serve",) * 4 + ("interrupt",) * 3
+SERVE_CHILD_OPS = CHILD_OPS + ("serve",)
 
 
 class SignalFailed(Exception):
@@ -85,12 +112,19 @@ def _release_granted(request) -> None:
 
 
 class Script:
-    """One case: the environment, its shared objects and the resume log."""
+    """One case: the environment, its shared objects and the resume log.
 
-    def __init__(self, seed: int, t0: float, join: bool = False) -> None:
+    ``spelling`` is ``None`` for the original cases, or how the serve
+    cases spell a serve (``"acquire"``: the three steps).
+    """
+
+    def __init__(
+        self, seed: int, t0: float, join: bool = False, spelling=None
+    ) -> None:
         self.env = Environment(initial_time=t0)
         self.t0 = t0
         self.join = join
+        self.spelling = spelling
         self.rng = np.random.default_rng(seed)
         self.log: list[str] = []
         self.resources = [
@@ -98,6 +132,19 @@ class Script:
             for cap in (1, 2)
             for limit in (0, 1)
         ]
+        #: Unbounded resources the serves hold; requests queue there too.
+        self.servers = []
+        if spelling is not None:
+            self.servers = [
+                Resource(self.env, cap, name=f"u{cap}") for cap in (1, 2)
+            ]
+            self.resources += self.servers
+        self.ops = OPS if spelling is None else SERVE_OPS
+        self.child_ops = CHILD_OPS if spelling is None else SERVE_CHILD_OPS
+        #: Processes inside a serve (interrupts favour them).
+        self.serving: set = set()
+        #: Where interrupts found the three-step serves (not logged).
+        self.serve_interrupts = {"queued": 0, "granted": 0, "serving": 0}
         self.signal = self.env.event()
         #: Processes other scripts may interrupt or register callbacks on.
         self.targets: list = []
@@ -267,7 +314,7 @@ class Script:
         self.note(pid, step, "after-signal")
 
     def _spawn(self, pid: int, step: int, mode: str = "now"):
-        child = self.spawn(CHILD_OPS, 1 + self.pick(3))
+        child = self.spawn(self.child_ops, 1 + self.pick(3))
         if mode == "free":  # nobody ever waits for this child
             yield self.delay()
             self.note(pid, step, "left-child")
@@ -286,7 +333,7 @@ class Script:
     def _fanout(self, pid: int, step: int):
         count = 1 + self.pick(3)
         children = [
-            self.program(CHILD_OPS, 1 + self.pick(2)) for _ in range(count)
+            self.program(self.child_ops, 1 + self.pick(2)) for _ in range(count)
         ]
         if self.join:
             yield Join(self.env, children)
@@ -301,6 +348,8 @@ class Script:
         queued = [p for p in live if p in self.queued]
         if queued and self.rng.random() < 0.5:
             live = queued
+        elif self.serving and self.rng.random() < 0.5:
+            live = [p for p in live if p in self.serving] or live
         if live:
             live[self.pick(len(live))].interrupt(pid)
             self.note(pid, step, "interrupt")
@@ -319,13 +368,52 @@ class Script:
         yield self.delay()
         self.note(pid, step, "after-callback")
 
+    def _serve(self, pid: int, step: int):
+        """Hold a server for a service time drawn when it is granted."""
+        res = self.servers[self.pick(len(self.servers))]
+        mean = self.delay()
+        proc = self.env.active_process
+        self.serving.add(proc)
+        try:
+            yield from self._serve_spelled(res, mean)
+        finally:
+            self.serving.discard(proc)
+        self.note(pid, step, f"held-{res.name}")
+
+    def _serve_spelled(self, res, mean: float):
+        req = res.acquire()
+        try:
+            yield req
+        except Interrupt:
+            if req.triggered:
+                self.serve_interrupts["granted"] += 1
+                req.release()
+            else:
+                self.serve_interrupts["queued"] += 1
+                res.cancel(req)
+            raise
+        try:
+            if mean > 0.0:
+                yield self.rng.standard_exponential() * mean * 1.0
+            else:
+                yield 0.0
+        except Interrupt:
+            self.serve_interrupts["serving"] += 1
+            raise
+        finally:
+            req.release()
+
     # -- running a case -------------------------------------------------
     def run(self) -> list[str]:
         env = self.env
         for _ in range(PROCESSES):
-            self.spawn(OPS, STEPS)
-        for _ in range(3):
-            env.step()
+            self.spawn(self.ops, STEPS)
+        if self.spelling is None:
+            for _ in range(3):
+                env.step()
+        else:
+            while env.peek() <= self.t0 + RUN_STOPS[0]:
+                env.step()
         self.log.append(f"stepped {env.now.hex()}")
         for offset in RUN_STOPS:
             env.run(until=self.t0 + offset)
@@ -335,9 +423,12 @@ class Script:
         return self.log
 
 
-def run_case(seed: int, t0: float, join: bool = False) -> list[str]:
-    """The resume log of one case (fan-outs through a Join if ``join``)."""
-    return Script(seed, t0, join).run()
+def run_case(
+    seed: int, t0: float, join: bool = False, spelling=None
+) -> list[str]:
+    """The resume log of one case (fan-outs through a Join if ``join``;
+    a serve case if ``spelling`` is given)."""
+    return Script(seed, t0, join, spelling).run()
 
 
 def generate_fixture() -> dict:
@@ -348,6 +439,14 @@ def generate_fixture() -> dict:
             {"seed": seed, "t0": t0.hex(), "log": run_case(seed, t0)}
             for seed, t0 in CASES
         ],
+        "serve_cases": [
+            {
+                "seed": seed,
+                "t0": t0.hex(),
+                "log": run_case(seed, t0, spelling="acquire"),
+            }
+            for seed, t0 in SERVE_CASES
+        ],
     }
 
 
@@ -355,5 +454,6 @@ if __name__ == "__main__":
     FIXTURE_PATH.parent.mkdir(exist_ok=True)
     payload = generate_fixture()
     FIXTURE_PATH.write_text(json.dumps(payload, indent=1, sort_keys=True))
-    entries = sum(len(c["log"]) for c in payload["cases"])
-    print(f"wrote {FIXTURE_PATH} ({len(payload['cases'])} cases, {entries} lines)")
+    cases = payload["cases"] + payload["serve_cases"]
+    entries = sum(len(c["log"]) for c in cases)
+    print(f"wrote {FIXTURE_PATH} ({len(cases)} cases, {entries} lines)")
