@@ -13,10 +13,11 @@ for tests while collecting thousands of interactions.
 
 Performance layers (all default-on, all bit-identical to the seed DES):
 
-* the lean event kernel (:mod:`repro.sim.core`) — service/think delays
-  are bare-float yields dispatched as resume records, resource grants
-  and hand-overs are grant records, and everything due at the current
-  instant goes through a FIFO instead of the heap;
+* the lean event kernel (:mod:`repro.sim.core`) — think and network
+  delays are bare-float yields dispatched as resume records, CPU and
+  disk service is one hold (a hold-grant and a hold-end record), pool
+  grants and hand-overs are grant records, and everything due at the
+  current instant goes through a FIFO instead of the heap;
 * one :class:`~repro.sim.process.Join` per page for its embedded
   images, so the page resumes once, in the slot of the last image's
   completion, instead of once per image;

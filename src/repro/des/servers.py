@@ -10,6 +10,15 @@ around those means to generate realistic queueing variability.
 A node's *memory penalty* (swap pressure) is computed once per measurement
 from the same server-model evaluation the analytic backend uses and
 multiplies every sampled service time on that node.
+
+CPU and disk work is one ``yield res.hold(rng, mean, self.memory_penalty)``
+(:meth:`repro.sim.resources.Resource.hold`): the server is held for
+``rng.standard_exponential() * mean * penalty``, drawn when it is
+granted, and the flow resumes once, after the release.  No mean depends
+on anything a grant changes, so computing it before the hold gives the
+value it had when it was computed after the grant.  Thread and
+connection pools have bounded waiting rooms, so they keep acquire and
+release.
 """
 
 from __future__ import annotations
@@ -24,9 +33,8 @@ from repro.cluster.database import DatabaseModel
 from repro.cluster.node import NodeSpec
 from repro.cluster.proxy import ProxyModel
 from repro.sim.core import Environment
-from repro.sim.resources import QueueFullError, Resource
+from repro.sim.resources import Resource
 from repro.tpcw.profiles import InteractionProfile
-from repro.util.stats import RunningStats
 
 __all__ = ["NodeSim", "ProxyServerSim", "AppServerSim", "DbServerSim"]
 
@@ -43,7 +51,6 @@ class NodeSim:
         "cpu",
         "disk",
         "nic_bytes",
-        "latency",
     )
 
     def __init__(
@@ -62,42 +69,6 @@ class NodeSim:
         self.cpu = Resource(env, spec.cpu_cores, name=f"{node_id}:cpu")
         self.disk = Resource(env, 1, name=f"{node_id}:disk")
         self.nic_bytes = 0.0
-        self.latency = RunningStats()
-
-    def _sample(self, rng: np.random.Generator, mean: float) -> float:
-        """Exponential service time around ``mean`` with the swap penalty."""
-        if mean <= 0.0:
-            return 0.0
-        # One standard draw scaled by the mean, as rng.exponential(mean)
-        # computes it, then the swap penalty.
-        return rng.standard_exponential() * mean * self.memory_penalty
-
-    def use_cpu(self, rng: np.random.Generator, mean_seconds: float):
-        """Hold one CPU core for a sampled service time (generator).
-
-        The per-request flows below inline this body (acquire, sampled
-        delay, release) rather than ``yield from`` it: each delegation
-        level costs a frame hop on every kernel resume, and these sites
-        sit on the hot path.  The helper remains for non-critical
-        callers and tests.
-        """
-        req = self.cpu.acquire()
-        yield req
-        try:
-            # A bare float yield is a delay (a kernel resume record): no
-            # Timeout object on the dominant service-time pattern.
-            yield self._sample(rng, mean_seconds)
-        finally:
-            req.release()
-
-    def use_disk(self, rng: np.random.Generator, mean_seconds: float):
-        """Hold the disk for a sampled service time (generator)."""
-        req = self.disk.acquire()
-        yield req
-        try:
-            yield self._sample(rng, mean_seconds)
-        finally:
-            req.release()
 
     def account_nic(self, transfer_bytes: float) -> None:
         """Record bytes through this node's NIC."""
@@ -108,13 +79,12 @@ class NodeSim:
         self.cpu.reset_stats()
         self.disk.reset_stats()
         self.nic_bytes = 0.0
-        self.latency = RunningStats()
 
 
 class ProxyServerSim(NodeSim):
     """Tier 1: the Squid model, executed per request."""
 
-    __slots__ = ("cfg", "ctx", "model", "mem_hit", "disk_hit", "lookup_cpu", "mean_obj")
+    __slots__ = ("cfg", "ctx", "model", "mem_hit", "disk_hit", "lookup_cpu")
 
     def __init__(self, env, node_id, spec, cfg: dict, ctx: WorkloadContext,
                  memory_penalty: float = 1.0, memory_bytes: float = 0.0) -> None:
@@ -130,7 +100,6 @@ class ProxyServerSim(NodeSim):
             model.LOOKUP_BASE_CPU
             + model.SCAN_CPU_PER_OBJECT * cfg["store_objects_per_bucket"] / 2.0
         )
-        self.mean_obj = ctx.catalog.mean_object_bytes()
 
     def classify(self, rng: np.random.Generator) -> str:
         """Draw the cache outcome for one static object request."""
@@ -149,83 +118,47 @@ class ProxyServerSim(NodeSim):
         """
         m = self.model
         cpu = self.cpu
+        pen = self.memory_penalty
         outcome = self.classify(rng)
-        # use_cpu/use_disk inlined (see NodeSim.use_cpu).
-        req = cpu.acquire()
-        yield req
-        try:
-            yield self._sample(rng, m.PARSE_CPU + self.lookup_cpu)
-        finally:
-            req.release()
+        yield cpu.hold(rng, m.PARSE_CPU + self.lookup_cpu, pen)
         if outcome == "mem":
-            req = cpu.acquire()
-            yield req
-            try:
-                yield self._sample(rng, size / m.MEM_COPY_RATE)
-            finally:
-                req.release()
+            yield cpu.hold(rng, size / m.MEM_COPY_RATE, pen)
         elif outcome == "disk":
-            req = cpu.acquire()
-            yield req
-            try:
-                yield self._sample(rng, m.DISK_HIT_CPU)
-            finally:
-                req.release()
+            yield cpu.hold(rng, m.DISK_HIT_CPU, pen)
             if rng.random() < m.DISK_HIT_IO_PROB:
-                req = self.disk.acquire()
-                yield req
-                try:
-                    yield self._sample(
-                        rng, self.spec.disk_seconds(size, accesses=1.0)
-                    )
-                finally:
-                    req.release()
+                disk_s = self.spec.disk_seconds(size, accesses=1.0)
+                yield self.disk.hold(rng, disk_s, pen)
         self.account_nic(size + 600.0)
         return outcome
 
     def accept_page(self, rng: np.random.Generator, cacheable: bool):
         """Handle a page request; returns True if served from cache."""
         m = self.model
-        req = self.cpu.acquire()
-        yield req
-        try:
-            yield self._sample(rng, m.PARSE_CPU + self.lookup_cpu)
-        finally:
-            req.release()
+        pen = self.memory_penalty
+        yield self.cpu.hold(rng, m.PARSE_CPU + self.lookup_cpu, pen)
         if cacheable:
             outcome = self.classify(rng)
             if outcome != "miss":
                 if outcome == "disk" and rng.random() < m.DISK_HIT_IO_PROB:
-                    req = self.disk.acquire()
-                    yield req
-                    try:
-                        yield self._sample(
-                            rng,
-                            self.spec.disk_seconds(
-                                self.ctx.profile.response_bytes, accesses=1.0
-                            ),
-                        )
-                    finally:
-                        req.release()
+                    disk_s = self.spec.disk_seconds(
+                        self.ctx.profile.response_bytes, accesses=1.0
+                    )
+                    yield self.disk.hold(rng, disk_s, pen)
                 return True
         return False
 
     def relay(self, rng: np.random.Generator, size: float):
         """Relay a response fetched from the application tier."""
         m = self.model
-        req = self.cpu.acquire()
-        yield req
-        try:
-            yield self._sample(rng, m.FORWARD_CPU + size / m.MEM_COPY_RATE)
-        finally:
-            req.release()
+        cpu_s = m.FORWARD_CPU + size / m.MEM_COPY_RATE
+        yield self.cpu.hold(rng, cpu_s, self.memory_penalty)
         self.account_nic(2.0 * size + 600.0)
 
 
 class AppServerSim(NodeSim):
     """Tier 2: the Tomcat model, executed per request."""
 
-    __slots__ = ("cfg", "ctx", "model", "http_pool", "ajp_pool", "mean_obj")
+    __slots__ = ("cfg", "ctx", "model", "http_pool", "ajp_pool")
 
     def __init__(self, env, node_id, spec, cfg: dict, ctx: WorkloadContext,
                  memory_penalty: float = 1.0, memory_bytes: float = 0.0) -> None:
@@ -245,7 +178,6 @@ class AppServerSim(NodeSim):
             queue_limit=int(cfg["AJPacceptCount"]),
             name=f"{node_id}:ajp",
         )
-        self.mean_obj = ctx.catalog.mean_object_bytes()
 
     def _spawn_cost(self, rng: np.random.Generator) -> float:
         """Thread-churn cost: spawning when the warm pool is exceeded."""
@@ -263,26 +195,15 @@ class AppServerSim(NodeSim):
         req = self.http_pool.acquire()
         yield req  # raises QueueFullError via the event if the backlog is full
         try:
+            pen = self.memory_penalty
             spawn = self._spawn_cost(rng)
-            cpu_req = self.cpu.acquire()
-            yield cpu_req
-            try:
-                yield self._sample(
-                    rng,
-                    m.PARSE_CPU + m.STATIC_SERVE_CPU
-                    + size / m.FILE_COPY_RATE + spawn,
-                )
-            finally:
-                cpu_req.release()
+            cpu_s = (
+                m.PARSE_CPU + m.STATIC_SERVE_CPU + size / m.FILE_COPY_RATE + spawn
+            )
+            yield self.cpu.hold(rng, cpu_s, pen)
             if rng.random() < m.STATIC_DISK_ACCESS_PROB:
-                disk_req = self.disk.acquire()
-                yield disk_req
-                try:
-                    yield self._sample(
-                        rng, self.spec.disk_seconds(size, accesses=1.0)
-                    )
-                finally:
-                    disk_req.release()
+                disk_s = self.spec.disk_seconds(size, accesses=1.0)
+                yield self.disk.hold(rng, disk_s, pen)
             self.account_nic(size + 600.0)
         finally:
             req.release()
@@ -298,28 +219,19 @@ class AppServerSim(NodeSim):
         http = self.http_pool.acquire()
         yield http
         try:
+            pen = self.memory_penalty
             spawn = self._spawn_cost(rng)
-            req = self.cpu.acquire()
-            yield req
-            try:
-                yield self._sample(rng, m.PARSE_CPU + spawn)
-            finally:
-                req.release()
+            yield self.cpu.hold(rng, m.PARSE_CPU + spawn, pen)
             ajp = self.ajp_pool.acquire()
             yield ajp
             try:
                 syscalls = math.ceil(profile.response_bytes / self.cfg["bufferSize"])
-                req = self.cpu.acquire()
-                yield req
-                try:
-                    yield self._sample(
-                        rng,
-                        profile.app_cpu
-                        + m.AJP_RELAY_CPU
-                        + syscalls * m.WRITE_SYSCALL_CPU,
-                    )
-                finally:
-                    req.release()
+                cpu_s = (
+                    profile.app_cpu
+                    + m.AJP_RELAY_CPU
+                    + syscalls * m.WRITE_SYSCALL_CPU
+                )
+                yield self.cpu.hold(rng, cpu_s, pen)
                 if db_call is not None:
                     yield from db_call()
             finally:
@@ -394,15 +306,12 @@ class DbServerSim(NodeSim):
             # Connection churn: thread-cache miss pays setup CPU.
             cpu = self.cpu
             disk = self.disk
+            pen = self.memory_penalty
+            disk_s = self.spec.disk_seconds
             conc = max(float(self.conn_pool.in_service), 1.0)
             cache_hit = min(1.0, self.cfg["thread_con"] / conc)
             if rng.random() < m.CONN_CHURN_PER_PAGE * (1.0 - cache_hit):
-                req = cpu.acquire()
-                yield req
-                try:
-                    yield self._sample(rng, m.CONN_SETUP_CPU)
-                finally:
-                    req.release()
+                yield cpu.hold(rng, m.CONN_SETUP_CPU, pen)
 
             u = rng.random(4)
             reads = self._count(u[0], profile.db_queries)
@@ -410,115 +319,42 @@ class DbServerSim(NodeSim):
             writes = self._count(u[2], profile.db_writes)
             inserts = self._count(u[3], profile.db_inserts)
 
-            # use_cpu/use_disk inlined throughout (see NodeSim.use_cpu).
             for _ in range(reads):
                 cost = m.QUERY_CPU * self.reader_factor
                 if rng.random() < self.table_miss:
                     cost += m.TABLE_OPEN_CPU
                     if rng.random() < m.TABLE_OPEN_DISK_PROB:
-                        req = disk.acquire()
-                        yield req
-                        try:
-                            yield self._sample(
-                                rng, self.spec.disk_seconds(4096, accesses=1.0)
-                            )
-                        finally:
-                            req.release()
-                req = cpu.acquire()
-                yield req
-                try:
-                    yield self._sample(rng, cost)
-                finally:
-                    req.release()
+                        yield disk.hold(rng, disk_s(4096, accesses=1.0), pen)
+                yield cpu.hold(rng, cost, pen)
                 if rng.random() < m.READ_MISS_PROB:
-                    req = disk.acquire()
-                    yield req
-                    try:
-                        yield self._sample(
-                            rng,
-                            self.spec.disk_seconds(
-                                m.READ_MISS_BYTES, accesses=1.0
-                            ),
-                        )
-                    finally:
-                        req.release()
+                    yield disk.hold(
+                        rng, disk_s(m.READ_MISS_BYTES, accesses=1.0), pen
+                    )
             for _ in range(heavy):
-                req = cpu.acquire()
-                yield req
-                try:
-                    yield self._sample(
-                        rng, m.HEAVY_QUERY_CPU * self.join_factor
-                    )
-                finally:
-                    req.release()
-                req = disk.acquire()
-                yield req
-                try:
-                    yield self._sample(
-                        rng,
-                        self.spec.disk_seconds(m.HEAVY_SCAN_BYTES, accesses=0.6),
-                    )
-                finally:
-                    req.release()
+                yield cpu.hold(rng, m.HEAVY_QUERY_CPU * self.join_factor, pen)
+                yield disk.hold(
+                    rng, disk_s(m.HEAVY_SCAN_BYTES, accesses=0.6), pen
+                )
             for _ in range(writes):
-                req = cpu.acquire()
-                yield req
-                try:
-                    yield self._sample(rng, m.WRITE_CPU)
-                finally:
-                    req.release()
-                req = disk.acquire()
-                yield req
-                try:
-                    yield self._sample(
-                        rng,
-                        self.spec.disk_seconds(
-                            4096, accesses=m.WRITE_LOG_ACCESSES
-                        ),
-                    )
-                finally:
-                    req.release()
+                yield cpu.hold(rng, m.WRITE_CPU, pen)
+                yield disk.hold(
+                    rng, disk_s(4096, accesses=m.WRITE_LOG_ACCESSES), pen
+                )
                 if rng.random() < self.binlog_spill:
-                    req = disk.acquire()
-                    yield req
-                    try:
-                        yield self._sample(
-                            rng,
-                            self.spec.disk_seconds(
-                                m.BINLOG_RECORD_MEAN, accesses=1.0
-                            ),
-                        )
-                    finally:
-                        req.release()
+                    yield disk.hold(
+                        rng, disk_s(m.BINLOG_RECORD_MEAN, accesses=1.0), pen
+                    )
             for _ in range(inserts):
-                req = cpu.acquire()
-                yield req
-                try:
-                    yield self._sample(rng, m.INSERT_CPU)
-                finally:
-                    req.release()
+                yield cpu.hold(rng, m.INSERT_CPU, pen)
                 # Delayed-insert batching amortizes the disk write.
                 if rng.random() < 1.0 / self.batch:
-                    req = disk.acquire()
-                    yield req
-                    try:
-                        yield self._sample(
-                            rng,
-                            self.spec.disk_seconds(
-                                4096, accesses=m.INSERT_DISK_ACCESS
-                            ),
-                        )
-                    finally:
-                        req.release()
+                    yield disk.hold(
+                        rng, disk_s(4096, accesses=m.INSERT_DISK_ACCESS), pen
+                    )
             syscalls = math.ceil(
                 max(profile.db_result_bytes, 1.0) / self.cfg["net_buffer_length"]
             )
-            req = cpu.acquire()
-            yield req
-            try:
-                yield self._sample(rng, syscalls * m.WRITE_SYSCALL_CPU)
-            finally:
-                req.release()
+            yield cpu.hold(rng, syscalls * m.WRITE_SYSCALL_CPU, pen)
             self.account_nic(profile.db_result_bytes + 400.0)
         finally:
             conn.release()

@@ -9,7 +9,9 @@ the cluster models need:
 * :class:`Process` — a generator coroutine driven by the loop,
 * :class:`Join` — one event for a fan-out of child processes,
 * :class:`Resource` — a multi-server queueing resource with an optional
-  bounded waiting room (rejects when full, like a TCP accept backlog),
+  bounded waiting room (rejects when full, like a TCP accept backlog);
+  ``yield res.hold(rng, mean, scale)`` holds a server for a sampled
+  service time in one resume,
 * :class:`Monitor` / :class:`repro.util.TimeWeightedStats` integration for
   utilization accounting.
 
@@ -17,8 +19,8 @@ Design notes (performance): entries are ``(time, sequence, event,
 process)`` tuples dispatched in ``(time, sequence)`` order; the sequence
 number breaks ties FIFO and avoids comparing event objects.  Entries due
 later sit in a binary heap; entries due at the current instant (grants,
-kicks, triggers, zero delays) go through a FIFO, which keeps the same
-order without a heap push or pop.  Processes are plain generators — no
+hold-grants, kicks, triggers, zero delays) go through a FIFO, which keeps
+the same order without a heap push or pop.  Processes are plain generators — no
 thread or greenlet machinery — so a run costs about one queue operation
 plus one ``send`` per entry.
 """

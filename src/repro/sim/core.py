@@ -12,12 +12,22 @@ scheduling.  Entries are ``(at, seq, event, process)`` 4-tuples:
   (:mod:`repro.sim.resources`): it sends the granted ``request`` into
   the process that waits on it, exactly what delivering the request as
   an event would do.  A grant record the process no longer waits on (it
-  was interrupted or moved on) is delivered as the plain event.
+  was interrupted or moved on) is delivered as the plain event;
+* ``(at, seq, hold, process)``, with ``hold`` the tuple
+  :meth:`~repro.sim.resources.Resource.hold` made, is a *hold-grant
+  record*, in the slot a grant record takes.  It draws the service time
+  and schedules the *hold-end record*: a resume record, in the slot the
+  yielded delay took, for a process whose ``_waiting_on`` is its hold.
+  That releases the server (a hand-over takes the seq ``release()`` in
+  ``finally`` took), then resumes the process: draws, seqs and resumes
+  land where acquire, yielding the request and the drawn delay, and
+  releasing put them, with one resume instead of two.
 
 Dispatch follows one total ``(at, seq)`` order.  Two queues hold it: a
 heap for entries in the future and a FIFO for entries whose computed
-time equals the current clock -- kicks, grants, event triggers and zero
-or float-absorbed delays (``now + d == now``), most of the DES's work.
+time equals the current clock -- kicks, grants, hold-grants, event
+triggers and zero or float-absorbed delays (``now + d == now``), most of
+the DES's work.
 Every heap entry at ``now`` was pushed before the clock reached ``now``,
 so it holds a smaller seq than anything in the FIFO; the loop therefore
 drains heap entries at ``now`` first and the FIFO after them, which
@@ -220,7 +230,7 @@ class Environment:
 
     @property
     def fast_resumes(self) -> int:
-        """Resume and grant records: entries that resume a process directly.
+        """Resume, grant and hold records: entries that carry no event.
 
         Derived as total entries minus event-carrying entries, so the
         hot paths never touch a counter.
@@ -270,7 +280,7 @@ class Environment:
         return self._queue[0][0] if self._queue else _INF
 
     def step(self) -> None:
-        """Dispatch exactly one entry (event, resume or grant record)."""
+        """Dispatch exactly one entry (any kind in the module docstring)."""
         queue = self._queue
         if self._ready and not (queue and queue[0][0] == self._now):
             _, seq, event, process = self._ready.popleft()
@@ -278,12 +288,25 @@ class Environment:
             self._now, seq, event, process = _heappop(queue)
         else:
             raise SimulationError("step() on an empty event queue")
-        if event is not None:
+        if event is None:
+            if process._resume_seq == seq:
+                hold = process._waiting_on
+                if hold is not None:  # a hold-end record
+                    process._waiting_on = None
+                    hold[0]._release()
+                process._step(None, None)
+        elif event.__class__ is tuple:
+            if process._resume_seq == seq:  # a live hold-grant record
+                _, _, rng, mean, scale = event
+                if mean <= 0.0:
+                    delay = 0.0
+                else:
+                    delay = rng.standard_exponential() * mean * scale
+                process._resume_seq = self._schedule_resume(self._now + delay, process)
+        else:
             # An event, or a grant record: delivering the request as an
             # event resumes its waiting process exactly as the record would.
             event._process()
-        elif process._resume_seq == seq:
-            process._step(None, None)
 
     def run(self, until: Optional[float] = None) -> float:
         """Run entries until none remain or the clock would pass ``until``.
@@ -324,6 +347,11 @@ class Environment:
             if event is None:
                 if process._resume_seq != seq:
                     continue  # stale record (interrupted / moved on)
+                hold = process._waiting_on
+                if hold is not None:
+                    # Hold-end record: release the server, then resume.
+                    process._waiting_on = None
+                    hold[0]._release()
                 value = None
             elif process is None:
                 # Event delivery.  The dominant shape — one waiter, no
@@ -343,6 +371,23 @@ class Environment:
                 waiter._waiting_on = None
                 process = waiter
                 value = event._value
+            elif event.__class__ is tuple:
+                # Hold-grant record: draw the service time and schedule
+                # the hold-end record in a yielded delay's slot.
+                if process._resume_seq != seq:
+                    continue  # the hold was withdrawn
+                mean = event[3]
+                if mean <= 0.0:
+                    when = now
+                else:
+                    when = now + event[2].standard_exponential() * mean * event[4]
+                self._seq = seq = self._seq + 1
+                if when == now:
+                    ready.append((now, seq, None, process))
+                else:
+                    push(queue, (when, seq, None, process))
+                process._resume_seq = seq
+                continue
             else:
                 # Grant record.  A process that moved on, or other
                 # registrations on the request, take the event path.
@@ -377,24 +422,28 @@ class Environment:
                 process.fail(err)
                 continue
             self._active = None
-            if target.__class__ is float and target >= 0.0:
-                self._seq = seq = self._seq + 1
-                when = now + target
-                if when == now:
-                    ready.append((now, seq, None, process))
+            made = process._waiting_on
+            if made is None:
+                if target.__class__ is float and target >= 0.0:
+                    self._seq = seq = self._seq + 1
+                    when = now + target
+                    if when == now:
+                        ready.append((now, seq, None, process))
+                    else:
+                        push(queue, (when, seq, None, process))
+                    process._resume_seq = seq
                 else:
-                    push(queue, (when, seq, None, process))
-                process._resume_seq = seq
-                process._waiting_on = None  # a request acquired, not yielded
-            elif (
-                target is process._waiting_on
-                and target is not None
-                and target._callbacks is None
-            ):
-                # The request this step's acquire() made: register the
-                # process as its waiter (its grant record, if any, is
+                    process._wait_on(target)
+            elif target is made:
+                # The hold or request this step made.  A hold's record
+                # or waiting-room place exists already; a request needs
+                # its waiter registered (its grant record, if any, is
                 # already scheduled).
-                target._waiter = process
+                if target.__class__ is not tuple:
+                    if target._callbacks is None:
+                        target._waiter = process
+                    else:
+                        process._wait_on(target)
             else:
                 process._wait_on(target)
         if until is not None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator, Iterable, Optional
 
 from repro.sim.core import Environment, Event, Interrupt, SimulationError
@@ -26,11 +27,12 @@ class Process(Event):
     bit-identically.
 
     ``_waiting_on`` is the event the process waits on.  While the process
-    runs it is ``None``, except that a resource acquire made in the
-    current step stores its request there (see
-    :meth:`repro.sim.resources.Resource.acquire`): when the run loop sees
-    the process yield that request next, it registers the wait without a
-    :meth:`_wait_on` call.
+    runs it is ``None``, except that a resource acquire or hold made in
+    the current step stores its request or hold there (see
+    :meth:`repro.sim.resources.Resource.acquire` and ``hold``): when the
+    run loop sees the process yield it next, it registers the wait
+    without a :meth:`_wait_on` call.  A hold stays there until its
+    hold-end record, or an interrupt, takes it back.
     ``_resume_seq`` is the seq of the one record that may resume the
     process; every other record for it is stale.
     """
@@ -38,9 +40,13 @@ class Process(Event):
     __slots__ = ("_generator", "_waiting_on", "_resume_seq")
 
     def __init__(self, env: Environment, generator: Generator) -> None:
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+        # Generator functions' generators skip the duck-typing probes.
+        if generator.__class__ is not GeneratorType and not (
+            hasattr(generator, "send") and hasattr(generator, "throw")
+        ):
             raise SimulationError(f"process needs a generator, got {generator!r}")
-        super().__init__(env)
+        # Not super(): CPython 3.11 builds a super object per call.
+        Event.__init__(self, env)
         self._generator = generator
         self._waiting_on: Optional[Event] = None
         # Kick off at the current time via a bare resume record (due now,
@@ -70,8 +76,12 @@ class Process(Event):
     def _do_interrupt(self, cause: Any) -> None:
         if self.triggered:  # finished in the meantime; drop silently
             return
+        made = self._waiting_on
         self._waiting_on = None
-        self._resume_seq = -1  # invalidate any pending resume record
+        self._resume_seq = -1  # invalidate any pending record
+        if made.__class__ is tuple:
+            # A hold: withdrawn if queued, its server released if granted.
+            made[0]._withdraw(made)
         self._step(None, Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
@@ -86,13 +96,30 @@ class Process(Event):
             self._step(event.value, None)
 
     def _wait_on(self, target: Any) -> None:
-        """Register the wait for a non-plain-delay yield.
+        """Register the wait for a yield the fast paths do not take.
 
-        Called after a step when the yielded object is not a non-negative
-        ``float``: a real :class:`Event` wait, a negative delay (error) or
-        a non-event (error).
+        That is a real :class:`Event` wait, a delay after an acquire in
+        the same step, a hold not yielded at once, a negative delay or a
+        non-event (the last three are errors).
         """
+        made = self._waiting_on
+        if made.__class__ is tuple:  # a hold made, something else yielded
+            self._waiting_on = None
+            self._resume_seq = -1
+            made[0]._withdraw(made)
+            self._step(
+                None,
+                SimulationError(f"a hold must be yielded at once, got {target!r}"),
+            )
+            return
         if target.__class__ is float:
+            if target >= 0.0:
+                # The request acquired in this step was not yielded; its
+                # grant record goes stale.
+                self._waiting_on = None
+                env = self.env
+                self._resume_seq = env._schedule_resume(env._now + target, self)
+                return
             self._step(
                 None, SimulationError(f"negative timeout delay: {target}")
             )
@@ -140,11 +167,11 @@ class Process(Event):
         finally:
             env._active = prev
 
-        if target.__class__ is float and target >= 0.0:
+        made = self._waiting_on
+        if made is None and target.__class__ is float and target >= 0.0:
             # Bare delay: one resume record, no Event machinery.
-            self._waiting_on = None
             self._resume_seq = env._schedule_resume(env._now + target, self)
-        else:
+        elif target is not made or made.__class__ is not tuple:
             self._wait_on(target)
 
 
@@ -164,7 +191,7 @@ class Join(Event):
     __slots__ = ("_pending",)
 
     def __init__(self, env: Environment, generators: Iterable[Generator]) -> None:
-        super().__init__(env)
+        Event.__init__(self, env)
         self._pending = 0
         for generator in generators:
             # A child first runs at its kick, after this constructor.

@@ -13,15 +13,25 @@ that process with the request, in the ``(now, seq)`` slot where the
 request's success event would be delivered.  Rejections, and grants to
 requests nobody waits on yet (acquires made outside a process), are
 ordinary events.
+
+:meth:`Resource.hold` is acquire, a service time drawn at the grant and
+release in one yield.  A hold is the tuple ``(resource, process, rng,
+mean, scale)``, told from an event by its class; its grant is a
+*hold-grant record*, and one FIFO waiting room keeps requests and holds.
+The hot paths update the busy-time and queue-length integrals inline,
+with :meth:`TimeWeightedStats.update`'s float operations.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.sim.core import Environment, Event, SimulationError
 from repro.util.stats import TimeWeightedStats
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["Resource", "AcquireRequest", "QueueFullError"]
 
@@ -40,7 +50,7 @@ class AcquireRequest(Event):
     __slots__ = ("resource", "_released")
 
     def __init__(self, env: Environment, resource: "Resource") -> None:
-        super().__init__(env)
+        Event.__init__(self, env)
         self.resource = resource
         self._released = False
 
@@ -65,34 +75,7 @@ class AcquireRequest(Event):
         if not self._triggered or self._exc is not None:
             raise SimulationError("release of a request that never held a server")
         self._released = True
-        res = self.resource
-        env = self.env
-        now = env._now
-        waiting = res._waiting
-        if waiting:
-            nxt = waiting.popleft()
-            res.queue_stats.update(now, len(waiting))
-            res._granted += 1
-            # The server is handed over; _in_service is unchanged.
-            nxt._triggered = True
-            env._seq = seq = env._seq + 1
-            waiter = nxt._waiter
-            if waiter is not None and waiter._waiting_on is nxt:
-                waiter._resume_seq = seq
-                env._ready.append((now, seq, nxt, waiter))
-            else:
-                nxt._value = nxt
-                env._n_events += 1
-                env._ready.append((now, seq, nxt, None))
-        else:
-            res._in_service = busy = res._in_service - 1
-            # TimeWeightedStats.update(now, busy), inlined.
-            stats = res.busy_stats
-            stats._area += stats._last_v * (now - stats._last_t)
-            stats._last_t = now
-            stats._last_v = busy
-            if busy > stats._max:
-                stats._max = busy
+        self.resource._release()
 
 
 class Resource:
@@ -127,7 +110,8 @@ class Resource:
         self._capacity = capacity
         self._queue_limit = queue_limit
         self._in_service = 0
-        self._waiting: deque[AcquireRequest] = deque()
+        #: Queued requests and holds, in arrival order.
+        self._waiting: deque = deque()
         self._rejected = 0
         self._granted = 0
         self.busy_stats = TimeWeightedStats(env.now, 0.0)
@@ -146,7 +130,7 @@ class Resource:
 
     @property
     def queue_length(self) -> int:
-        """Requests currently waiting."""
+        """Requests and holds currently waiting."""
         return len(self._waiting)
 
     @property
@@ -156,7 +140,7 @@ class Resource:
 
     @property
     def granted(self) -> int:
-        """Count of acquires that obtained a server."""
+        """Count of acquires and holds that obtained a server."""
         return self._granted
 
     def utilization(self, now: Optional[float] = None) -> float:
@@ -188,15 +172,9 @@ class Resource:
         now = env._now
         process = env._active
         if self._in_service < self._capacity:
-            self._in_service = busy = self._in_service + 1
+            self._in_service += 1
             self._granted += 1
-            # TimeWeightedStats.update(now, busy), inlined.
-            stats = self.busy_stats
-            stats._area += stats._last_v * (now - stats._last_t)
-            stats._last_t = now
-            stats._last_v = busy
-            if busy > stats._max:
-                stats._max = busy
+            self.busy_stats.update(now, self._in_service)
             req._triggered = True
             env._seq = seq = env._seq + 1
             if process is None:
@@ -220,6 +198,58 @@ class Resource:
                 process._resume_seq = -1
         return req
 
+    def hold(self, rng: "np.random.Generator", mean: float, scale: float) -> tuple:
+        """Hold a server for ``rng.standard_exponential() * mean * scale``.
+
+        ``yield res.hold(...)`` at once: the server is taken or queued
+        as by :meth:`acquire`, the time is drawn when the grant is
+        dispatched (``mean <= 0`` takes zero time and draws nothing), and
+        the process resumes once, with ``None``, after the release.
+        Draws, entries and seqs land where acquire, yielding the request,
+        yielding the drawn delay and releasing in ``finally`` put them.
+        An interrupt withdraws a queued hold, as :meth:`cancel` does, or
+        releases a granted one at that instant; yielding anything else
+        first withdraws it and throws :class:`SimulationError`.  Only a
+        process can hold, and only on an unbounded resource.
+        """
+        env = self.env
+        process = env._active
+        if process is None:
+            raise SimulationError("hold() outside a process")
+        if self._queue_limit is not None:
+            raise SimulationError(f"hold() on {self.name!r}, which has a queue limit")
+        if not scale >= 0.0:
+            raise SimulationError(f"hold() scale must be >= 0, got {scale!r}")
+        hold = (self, process, rng, mean, scale)
+        process._waiting_on = hold
+        now = env._now
+        if self._in_service < self._capacity:
+            self._in_service = busy = self._in_service + 1
+            self._granted += 1
+            # TimeWeightedStats.update(now, busy), inlined.
+            stats = self.busy_stats
+            stats._area += stats._last_v * (now - stats._last_t)
+            stats._last_t = now
+            stats._last_v = busy
+            if busy > stats._max:
+                stats._max = busy
+            env._seq = seq = env._seq + 1
+            process._resume_seq = seq
+            env._ready.append((now, seq, hold, process))
+        else:
+            waiting = self._waiting
+            waiting.append(hold)
+            queued = len(waiting)
+            # TimeWeightedStats.update(now, queued), inlined.
+            stats = self.queue_stats
+            stats._area += stats._last_v * (now - stats._last_t)
+            stats._last_t = now
+            stats._last_v = queued
+            if queued > stats._max:
+                stats._max = queued
+            process._resume_seq = -1
+        return hold
+
     def release(self, req: AcquireRequest) -> None:
         """Free the server held by ``req`` and admit the next waiter."""
         if req.resource is not self:
@@ -227,12 +257,59 @@ class Resource:
         req.release()
 
     def cancel(self, req: AcquireRequest) -> None:
-        """Withdraw a waiting request (no effect if already granted)."""
+        """Withdraw a waiting request or hold (no effect once granted)."""
         try:
             self._waiting.remove(req)
         except ValueError:
             return
         self.queue_stats.update(self.env.now, len(self._waiting))
+
+    def _withdraw(self, hold: tuple) -> None:
+        """Take back a hold its process left: cancel it if it is queued,
+        else release its server now."""
+        if hold in self._waiting:
+            self.cancel(hold)
+        else:
+            self._release()
+
+    def _release(self) -> None:
+        """Hand a freed server to the next waiter, or mark it idle."""
+        env = self.env
+        now = env._now
+        waiting = self._waiting
+        if waiting:
+            nxt = waiting.popleft()
+            # TimeWeightedStats.update(now, len(waiting)), inlined (a
+            # fall never raises the maximum).
+            stats = self.queue_stats
+            stats._area += stats._last_v * (now - stats._last_t)
+            stats._last_t = now
+            stats._last_v = len(waiting)
+            self._granted += 1
+            # The server is handed over; _in_service is unchanged.
+            env._seq = seq = env._seq + 1
+            if nxt.__class__ is tuple:
+                # A hold: its process waits on it by construction.
+                process = nxt[1]
+                process._resume_seq = seq
+                env._ready.append((now, seq, nxt, process))
+                return
+            nxt._triggered = True
+            waiter = nxt._waiter
+            if waiter is not None and waiter._waiting_on is nxt:
+                waiter._resume_seq = seq
+                env._ready.append((now, seq, nxt, waiter))
+            else:
+                nxt._value = nxt
+                env._n_events += 1
+                env._ready.append((now, seq, nxt, None))
+        else:
+            self._in_service = busy = self._in_service - 1
+            # TimeWeightedStats.update(now, busy), inlined, as above.
+            stats = self.busy_stats
+            stats._area += stats._last_v * (now - stats._last_t)
+            stats._last_t = now
+            stats._last_v = busy
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -31,7 +31,8 @@ mean drawn from :data:`DELAYS` (zero and the absorbed 1e-12 included).
 Spelled ``"acquire"`` it takes three steps: acquire and yield the
 request, yield ``rng.standard_exponential() * mean * 1.0`` (``0.0`` for
 a zero mean), release in ``finally``, and cancel the request if an
-interrupt finds it queued (release it if one finds it granted).  The
+interrupt finds it queued (release it if one finds it granted).
+Spelled ``"hold"`` it is one ``yield res.hold(rng, mean, 1.0)``.  The
 other scripts' requests share those waiting rooms with the serves.
 Serve cases step through the first stretch one ``step()`` at a time.
 
@@ -115,7 +116,7 @@ class Script:
     """One case: the environment, its shared objects and the resume log.
 
     ``spelling`` is ``None`` for the original cases, or how the serve
-    cases spell a serve (``"acquire"``: the three steps).
+    cases spell a serve (``"acquire"``: the three steps; ``"hold"``).
     """
 
     def __init__(
@@ -381,6 +382,9 @@ class Script:
         self.note(pid, step, f"held-{res.name}")
 
     def _serve_spelled(self, res, mean: float):
+        if self.spelling == "hold":
+            yield res.hold(self.rng, mean, 1.0)
+            return
         req = res.acquire()
         try:
             yield req

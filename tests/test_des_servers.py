@@ -22,31 +22,38 @@ def _defaults(params):
     return {p.name: p.default for p in params}
 
 
+def _cpu_time(node, rng, mean, holds):
+    """Simulated time ``holds`` back-to-back CPU holds take on ``node``."""
+    env = node.env
+
+    def proc():
+        for _ in range(holds):
+            yield node.cpu.hold(rng, mean, node.memory_penalty)
+
+    env.process(proc())
+    env.run()
+    return env.now
+
+
 class TestNodeSim:
     def test_memory_penalty_scales_service(self, ctx):
-        env = Environment()
-        fast = NodeSim(env, "a", DEFAULT_NODE, memory_penalty=1.0)
-        slow = NodeSim(env, "b", DEFAULT_NODE, memory_penalty=3.0)
-        rng1, rng2 = np.random.default_rng(1), np.random.default_rng(1)
-        t_fast = [fast._sample(rng1, 0.01) for _ in range(200)]
-        t_slow = [slow._sample(rng2, 0.01) for _ in range(200)]
-        assert np.mean(t_slow) == pytest.approx(3 * np.mean(t_fast))
+        fast = NodeSim(Environment(), "a", DEFAULT_NODE, memory_penalty=1.0)
+        slow = NodeSim(Environment(), "b", DEFAULT_NODE, memory_penalty=3.0)
+        t_fast = _cpu_time(fast, np.random.default_rng(1), 0.01, 200)
+        t_slow = _cpu_time(slow, np.random.default_rng(1), 0.01, 200)
+        assert t_slow == pytest.approx(3 * t_fast)
+        assert t_fast == pytest.approx(200 * 0.01, rel=0.2)
 
     def test_zero_mean_is_free(self):
-        env = Environment()
-        node = NodeSim(env, "a", DEFAULT_NODE)
-        assert node._sample(np.random.default_rng(0), 0.0) == 0.0
+        node = NodeSim(Environment(), "a", DEFAULT_NODE)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        assert _cpu_time(node, rng, 0.0, 3) == 0.0
+        assert rng.bit_generator.state == state  # nothing drawn
 
     def test_cpu_generator_occupies_resource(self, ctx):
-        env = Environment()
-        node = NodeSim(env, "a", DEFAULT_NODE)
-        rng = np.random.default_rng(2)
-
-        def proc():
-            yield from node.use_cpu(rng, 0.05)
-
-        env.process(proc())
-        env.run()
+        node = NodeSim(Environment(), "a", DEFAULT_NODE)
+        assert _cpu_time(node, np.random.default_rng(2), 0.05, 1) > 0.0
         assert node.cpu.granted == 1
         assert node.cpu.in_service == 0  # released
 

@@ -1,8 +1,10 @@
 """Tests for the simulation kernel's event loop and primitive events."""
 
+import numpy as np
 import pytest
 
 from repro.sim.core import Environment, Event, SimulationError, Timeout
+from repro.sim.resources import Resource
 
 
 class TestEnvironment:
@@ -94,6 +96,57 @@ class TestSameInstantOrder:
         while env.peek() != float("inf"):
             env.step()
         assert stepped == ran
+
+
+class TestHoldRecords:
+    """A hold dispatches as a hold-grant record (draw, schedule the end)
+    and a hold-end record (release, then resume the process)."""
+
+    def test_step_dispatches_both_record_kinds(self):
+        env = Environment()
+        rng = np.random.default_rng(9)
+        res = Resource(env, 1)
+        trace = []
+
+        def proc():
+            yield res.hold(rng, 2.0, 1.0)
+            trace.append((env.now, res.in_service))
+
+        env.process(proc())
+        env.step()  # the kick: hold() takes the free server
+        assert res.in_service == 1 and env.peek() == 0.0
+        state = rng.bit_generator.state
+        env.step()  # the hold-grant record: one draw, the end scheduled
+        assert rng.bit_generator.state != state and trace == []
+        end = env.peek()
+        assert end > 0.0 and res.in_service == 1
+        env.step()  # the hold-end record: release, then resume
+        assert trace == [(end, 0)]
+        assert env.now == end
+
+    def test_step_follows_run_order_with_holds(self):
+        def build(log):
+            env = Environment()
+            rng = np.random.default_rng(3)
+            res = Resource(env, 1)
+
+            def proc(name, mean):
+                yield res.hold(rng, mean, 1.0)
+                log.append((name, env.now, env.scheduled_entries))
+                yield 0.0
+                log.append((name, env.now, rng.random()))
+
+            for i, mean in enumerate((0.5, 0.0, 1.0, 0.25)):
+                env.process(proc(i, mean))
+            return env
+
+        ran, stepped = [], []
+        build(ran).run()
+        env = build(stepped)
+        while env.peek() != float("inf"):
+            env.step()
+        assert stepped == ran
+        assert len(ran) == 8
 
 
 class TestTimeout:

@@ -11,9 +11,10 @@ one :class:`~repro.sim.process.Join` must leave every log unchanged too.
 
 The serve cases add servers held for a service time drawn at the
 grant; their logs were recorded with the three-step spelling (acquire,
-yield the request, yield the drawn delay, release) and must be
-reproduced line for line, interrupts of queued, granted and serving
-processes included.
+yield the request, yield the drawn delay, release) before
+:meth:`~repro.sim.resources.Resource.hold` existed.  Both that spelling
+and one ``yield res.hold(rng, mean, 1.0)`` must reproduce them line for
+line, interrupts of queued, granted and serving processes included.
 """
 
 import json
@@ -83,9 +84,10 @@ def test_join_resumes_where_waiting_in_turn_does(seed, t0):
 
 
 @pytest.mark.parametrize("join", [False, True], ids=["wait", "join"])
+@pytest.mark.parametrize("spelling", ["acquire", "hold"])
 @pytest.mark.parametrize(
     "seed,t0", SERVE_CASES, ids=[f"seed{s}-t{t0:g}" for s, t0 in SERVE_CASES]
 )
-def test_serve_order_matches_recorded_kernel(seed, t0, join):
-    log = run_case(seed, t0, join=join, spelling="acquire")
+def test_serve_order_matches_recorded_kernel(seed, t0, spelling, join):
+    log = run_case(seed, t0, join=join, spelling=spelling)
     assert log == _EXPECTED_SERVE[(seed, t0)]

@@ -241,6 +241,43 @@ class TestJoin:
         # join: one slot for the last child's end.
         assert env.scheduled_entries == 9
 
+    def test_non_generator_child_rejected(self):
+        env = Environment()
+
+        def child():
+            yield 1.0
+
+        with pytest.raises(SimulationError):
+            Join(env, [child(), lambda: None])  # type: ignore[list-item]
+
+    def test_generator_like_child_accepted(self):
+        env = Environment()
+
+        class Ticker:
+            """Not a generator function's generator, but has send/throw."""
+
+            def __init__(self):
+                self._gen = self._run()
+
+            def _run(self):
+                yield 1.0
+
+            def send(self, value):
+                return self._gen.send(value)
+
+            def throw(self, exc):
+                return self._gen.throw(exc)
+
+        trace = []
+
+        def parent():
+            yield Join(env, [Ticker()])
+            trace.append(env.now)
+
+        env.process(parent())
+        env.run()
+        assert trace == [1.0]
+
     def test_empty_join_succeeds_at_once(self):
         env = Environment()
         trace = []
