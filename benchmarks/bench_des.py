@@ -1,6 +1,6 @@
 """The DES end to end: kernel throughput, measurement wall-clock, replications.
 
-Four arms, written to ``BENCH_des.json``:
+Five arms, written to ``BENCH_des.json``:
 
 * **Kernel churn** — a delay-dominated workload (50 processes x 1600
   plain-delay yields, the kernel's dominant operation); best-of-N
@@ -13,6 +13,11 @@ Four arms, written to ``BENCH_des.json``:
   entries/second.  The heap-only kernel's throughput on the same
   workload, measured before same-instant entries moved to a FIFO, is
   recorded alongside as a fixed reference.
+* **Kernel holds** — the contention loop spelled with
+  ``Resource.hold``: one yield per loop holds a server for a drawn
+  service time around the same mean, with the same number of entries
+  (a hold-grant and a hold-end record per loop instead of a grant and a
+  resume record); best-of-N entries/second.
 * **Measurement wall-clock** — a full ``SimulationBackend.measure`` on a
   TPC-W scenario, best-of-N.
 * **Replications** — ``replications=4`` merged serially and via the
@@ -35,6 +40,7 @@ from repro.model.base import Measurement, Scenario
 from repro.sim.core import Environment
 from repro.sim.resources import Resource
 from repro.tpcw.interactions import SHOPPING_MIX
+from repro.util.rng import spawn_rng
 from repro.util.serialization import atomic_write_json
 from repro.util.tables import Table
 
@@ -105,6 +111,21 @@ def _contended_env() -> Environment:
     return env
 
 
+def _hold_env() -> Environment:
+    """The contention workload with each loop one hold."""
+    env = Environment()
+    res = Resource(env, CONTENDED_CAPACITY, name="contended")
+    rng = spawn_rng(0, "bench.des.hold")
+
+    def worker(mean: float):
+        for _ in range(CONTENDED_LOOPS):
+            yield res.hold(rng, mean, 1.0)
+
+    for i in range(CONTENDED_PROCESSES):
+        env.process(worker(0.001 + i * 1e-6))
+    return env
+
+
 def _best_run(build, repeats: int) -> tuple[float, int]:
     """Best-of-``repeats`` (wall-clock seconds, entries dispatched)."""
     best = float("inf")
@@ -150,6 +171,11 @@ def test_des_end_to_end(report):
     t_contended, contended_entries = _best_run(_contended_env, CHURN_REPEATS)
     contended_eps = contended_entries / t_contended
 
+    # --- arm 1c: the contention loop spelled with holds -------------------
+    t_hold, hold_entries = _best_run(_hold_env, CHURN_REPEATS)
+    assert hold_entries == contended_entries
+    hold_eps = hold_entries / t_hold
+
     # --- arm 2: end-to-end measurement wall-clock -------------------------
     scenario, config = _scenario()
     backend = SimulationBackend(time_scale=0.05)
@@ -181,7 +207,7 @@ def test_des_end_to_end(report):
     payload = {
         "schema": "bench_des/v2",
         "description": (
-            "DES end to end: event-kernel churn and contention "
+            "DES end to end: event-kernel churn, contention and hold "
             "throughput (with the earlier kernels' last recorded figures "
             "for reference), measurement wall-clock, and "
             "serial-vs-parallel replication identity."
@@ -210,6 +236,17 @@ def test_des_end_to_end(report):
             "entries_per_second": round(contended_eps),
             "heap_kernel_recorded": HEAP_KERNEL_RECORDED,
         },
+        "kernel_hold": {
+            "workload": (
+                f"{CONTENDED_PROCESSES} processes x {CONTENDED_LOOPS} "
+                "hold loops (drawn service time) on one capacity-"
+                f"{CONTENDED_CAPACITY} resource"
+            ),
+            "entries_dispatched": hold_entries,
+            "protocol": f"best-of-{CHURN_REPEATS} wall-clock",
+            "seconds": round(t_hold, 6),
+            "entries_per_second": round(hold_eps),
+        },
         "measure_wall_clock": {
             "scenario": "three_tier(1,1,1), shopping mix, N=120",
             "time_scale": 0.05,
@@ -229,7 +266,7 @@ def test_des_end_to_end(report):
     atomic_write_json(RESULT_PATH, payload)
 
     table = Table(
-        "DES end to end (lean kernel, same-instant FIFO)",
+        "DES end to end (lean kernel, same-instant FIFO, hold records)",
         ["Arm", "Wall-clock", "Note"],
     )
     table.add_row(
@@ -245,6 +282,11 @@ def test_des_end_to_end(report):
         f"{contended_eps:,.0f} entries/s (heap-only kernel, recorded: "
         f"{HEAP_KERNEL_RECORDED['entries_per_second']:,} on "
         f"{HEAP_KERNEL_RECORDED['host_cpus']} CPUs)",
+    )
+    table.add_row(
+        f"kernel holds ({hold_entries:,} entries)",
+        f"{t_hold * 1e3:.1f} ms",
+        f"{hold_eps:,.0f} entries/s (the contention loop as one hold)",
     )
     table.add_row("measure() wall-clock", f"{t_measure * 1e3:.0f} ms", "")
     table.add_row(
