@@ -259,6 +259,55 @@ class TestSharedCacheTopology:
         assert result.cache_stats is not None
         assert result.cache_stats["solution_hits"] > 0
 
+    def test_pooled_entries_reach_the_parent(self, fresh_engine):
+        # Whatever the fleet computed, a serial rerun of the same plan on
+        # the same engine finds in the parent process.
+        plan = [
+            RunSpec(key=("p", s), fn=memoized_shared_probe, kwargs={"seed": s})
+            for s in (1, 2, 3)
+        ]
+        pooled = ParallelExecutor(jobs=2, engine="shared").run(plan)
+        serial = ParallelExecutor(jobs=1, engine="shared")
+        assert serial.run(plan) == pooled
+        stats = serial.cache_stats
+        assert stats is not None
+        assert stats["measurement_misses"] == 0
+        assert stats["measurement_hits"] == 2 * len(plan)
+
+
+def memoized_shared_probe(seed):
+    """Spec: two measurements of one point through the shared engine."""
+    backend = make_backend(ExperimentConfig(engine="shared"))
+    cluster, scenario = _probe_scenario()
+    cfg = cluster.default_configuration()
+    return [backend.measure(scenario, cfg, seed=seed).wips for _ in range(2)]
+
+
+class TestDurableStore:
+    """``--store-path``: the engine's entries survive the process."""
+
+    def test_reload_serves_every_measurement(self, tmp_path, fresh_engine):
+        config = ExperimentConfig(
+            iterations=6, baseline_iterations=2, jobs=2, engine="shared"
+        )
+        runs = []
+        for _ in range(2):
+            SharedEngine.reset()
+            SharedEngine.configure(store_path=str(tmp_path))
+            result = fig4.run(config)
+            runs.append((result, SharedEngine.instance().stats()))
+        (first, first_stats), (second, second_stats) = runs
+        assert json.dumps(second.canonical_dict(), sort_keys=True) == (
+            json.dumps(first.canonical_dict(), sort_keys=True)
+        )
+        assert second.cache_stats["measurement_misses"] == 0
+        assert second.cache_stats["measurement_hits"] > 0
+        assert first_stats["persist_entries_persisted"] > 0
+        assert second_stats["persist_entries_loaded"] == (
+            first_stats["persist_entries_persisted"]
+        )
+        assert list(tmp_path.glob("segment-*.seg"))
+
 
 class TestSharedStore:
     def test_attach_migrates_and_is_idempotent(self):
