@@ -185,7 +185,8 @@ class Join(Event):
     own, so only the last completion takes a slot.  The join succeeds
     with ``None``; the first child to raise fails it with that exception
     at once, and later endings are dropped.  A join over no generators
-    succeeds at once.
+    succeeds at once.  A join whose construction raises (say, on a
+    non-generator) runs none of its children.
     """
 
     __slots__ = ("_pending",)
@@ -193,10 +194,17 @@ class Join(Event):
     def __init__(self, env: Environment, generators: Iterable[Generator]) -> None:
         Event.__init__(self, env)
         self._pending = 0
-        for generator in generators:
-            # A child first runs at its kick, after this constructor.
-            _JoinedProcess(env, generator)._join = self
-            self._pending += 1
+        try:
+            for generator in generators:
+                # A child first runs at its kick, after this constructor.
+                _JoinedProcess(env, generator)._join = self
+                self._pending += 1
+        except BaseException:
+            # Withdraw the kicks of the children built so far.
+            for _, _, _, process in env._ready:
+                if process.__class__ is _JoinedProcess and process._join is self:
+                    process._resume_seq = -1
+            raise
         if not self._pending:
             self.succeed()
 

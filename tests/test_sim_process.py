@@ -250,6 +250,25 @@ class TestJoin:
         with pytest.raises(SimulationError):
             Join(env, [child(), lambda: None])  # type: ignore[list-item]
 
+    def test_rejected_join_runs_no_child(self):
+        env = Environment()
+        trace = []
+
+        def child(name):
+            trace.append((name, "start", env.now))
+            yield 1.0
+            trace.append((name, "end", env.now))
+
+        def parent():
+            try:
+                yield Join(env, [child("a"), child("b"), 42])
+            except SimulationError:
+                trace.append(("parent", "rejected", env.now))
+
+        env.process(parent())
+        env.run()
+        assert trace == [("parent", "rejected", 0.0)]
+
     def test_generator_like_child_accepted(self):
         env = Environment()
 
