@@ -9,16 +9,17 @@ Five arms over the reduced Fig-4 matrix, all asserted bit-identical:
   persistent shared caches, starting empty.
 * **shared --jobs 1 (warm)** — the same run again on the same engine:
   the cross-run payoff, served from the persistent shared cache.
-* **shared --jobs 2 (fleet)** — the persistent worker fleet over the
-  Manager-backed store, warm from the earlier runs.
+* **shared --jobs 2 (fleet)** — the persistent worker fleet, whose
+  workers start with the entries the earlier runs left in the parent.
 
 Plus a reduced Table-4 pass (inline vs shared, cold and warm) on the
 multi-node cluster workload.
 
 The gates are the ones a single core can demonstrate: the cold shared
 ``jobs=1`` path beating the serial no-cache baseline, a >= 2x cross-run
-speedup from the shared cache (warm shared vs inline), and a
-cross-run/cross-worker shared-cache hit rate above zero.  The fleet
+speedup from the shared cache (warm shared vs inline), a cross-run hit
+rate above zero, and a fleet run that measures nothing again (every
+measurement a hit on the entries its workers started with).  The fleet
 run's wall-clock is recorded, not gated.
 """
 
@@ -120,13 +121,11 @@ def test_shared_engine_speedups(report):
     assert warm_stats.get("measurement_hits", 0) > 0
     assert warm_stats.get("measurement_hit_rate", 0) > 0
 
-    # Cross-worker hit rate > 0: fleet workers (cache-cold processes)
-    # were served by the shared store the jobs=1 runs populated.
+    # Cross-worker: fleet workers start with the parent's entries, which
+    # the jobs=1 runs populated, so the fleet measures nothing again.
     fleet_stats = dict(r_shared_fleet.cache_stats or {})
-    shared_hits = fleet_stats.get(
-        "measurement_shared_hits", 0
-    ) + fleet_stats.get("solution_shared_hits", 0)
-    assert shared_hits > 0
+    assert fleet_stats.get("measurement_misses", 0) == 0
+    assert fleet_stats.get("measurement_hits", 0) > 0
 
     SharedEngine.reset()
     t_t4_inline, r_t4_inline = _timed_table4("inline")
@@ -181,8 +180,10 @@ def test_shared_engine_speedups(report):
         f"{t_shared_warm:.2f} s warm ({cross_run_speedup:.1f}x vs "
         "inline)",
         f"  fig4 shared  --jobs 2    {t_shared_fleet:6.2f} s (fleet, warm "
-        "store)",
-        f"  fleet shared-store hits: {shared_hits:.0f}",
+        "workers)",
+        f"  fleet measurement hits/misses: "
+        f"{fleet_stats['measurement_hits']:.0f}/"
+        f"{fleet_stats['measurement_misses']:.0f}",
         f"  table4 inline {t_t4_inline:.2f} s; shared {t_t4_cold:.2f} s "
         f"cold / {t_t4_warm:.2f} s warm",
         f"  host CPUs: {host_cpus}",

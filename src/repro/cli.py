@@ -65,7 +65,7 @@ def _add_durability_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--store-path", metavar="DIR",
         help=(
-            "durable shared-store directory (checksummed atomic segments): "
+            "durable store directory (checksummed atomic segments): "
             "the --engine shared cache survives process death; corrupt "
             "entries are quarantined, never served"
         ),

@@ -11,7 +11,10 @@ The engine-level robustness layer (docs/robustness.md, "Layer 2"):
   ``repro experiment … --resume`` with bit-identical continuation.
 * :mod:`repro.durability.diskstore` — :class:`StorePersistence`,
   checksummed atomic segments behind ``--store-path`` that let the
-  shared store survive process death, with corruption quarantine.
+  shared engine's cache entries survive process death, with corruption
+  quarantine.  The parent engine loads them into its memos at bring-up
+  and flushes new entries after every run; fleet workers never touch
+  the directory.
 """
 
 from repro.durability.framing import (

@@ -1,4 +1,4 @@
-"""Disk persistence for the shared measurement/solution store.
+"""Disk persistence for the shared engine's measurement/solution entries.
 
 A store directory holds numbered segment files (``segment-000001.seg``…),
 each a framed sequence (:mod:`repro.durability.framing`) of pickled

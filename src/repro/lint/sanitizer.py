@@ -21,11 +21,12 @@ three dynamic hazards through the ordinary lint :class:`Finding` schema
   :func:`expect_held` assertion failing, means the guarding discipline
   the code claims is not actually held on this path.
 * **RPL153 — cache coherence divergence.**  :func:`check_coherent`
-  compares the value being published against the value already cached
-  under the same content-addressed key.  The whole shared-store design
-  rests on "any writer writes the same bytes"; a divergence is a
-  fingerprint bug upstream and would silently split results by cache
-  topology.
+  compares the value being merged against the value already cached
+  under the same content-addressed key (``ContentMemo.absorb``, where a
+  fleet worker's entries meet the parent's).  Merging caches across
+  processes rests on "any writer writes the same bytes"; a divergence
+  is a fingerprint bug upstream and would silently split results by
+  cache topology.
 
 The sanitizer is deliberately dependency-free and in-process: state is
 module-global, guarded by one short-hold lock, and never crosses

@@ -29,13 +29,16 @@ batch.  :meth:`AnalyticBackend.measure_batch` builds on it,
 deduplicating identical configurations (only the noise draw depends on
 the seed) and consulting a per-backend solution memo
 (:class:`~repro.model.base.ContentMemo`) keyed on ``(scenario
-fingerprint, configuration)``.
+fingerprint, configuration)``.  Under the shared engine that memo's
+entries also travel between processes (out at fleet start, home with
+each spec's result) and to ``--store-path`` segments, as ``("sol", key)``
+entries.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from repro.cluster.context import WorkloadContext
 from repro.tpcw.interactions import InteractionCategory
@@ -56,9 +59,6 @@ from repro.model.hierarchy import AggregationPlan, aggregation_plan
 from repro.model.mva import MvaNetwork, MvaResult, Station, solve_mva_batch
 from repro.model.noise import NoiseModel
 from repro.util.rng import spawn_rng
-
-if TYPE_CHECKING:
-    from repro.parallel.store import SharedStore
 
 __all__ = ["AnalyticBackend", "AnalyticSolution", "APPROXIMATIONS"]
 
@@ -272,11 +272,7 @@ class _OuterState:
 
 
 class AnalyticBackend(PerformanceBackend):
-    """MVA-based testbed substitute (fast path for tuning sweeps).
-
-    ``store`` puts the shared engine's cross-process store behind the
-    solution memo (``("sol", key)`` entries).
-    """
+    """MVA-based testbed substitute (fast path for tuning sweeps)."""
 
     def __init__(
         self,
@@ -286,7 +282,6 @@ class AnalyticBackend(PerformanceBackend):
         approximation: str = "auto",
         fluid_population_threshold: int = 50_000,
         hierarchy_node_threshold: int = 16,
-        store: Optional["SharedStore"] = None,
     ) -> None:
         if solution_cache_size < 0:
             raise ValueError("solution_cache_size must be >= 0 (0 disables)")
@@ -309,7 +304,7 @@ class AnalyticBackend(PerformanceBackend):
         # Deterministic-solution memo: (scenario fp, config) → solution.
         # The solve is seed-independent (only the noise draw varies), so
         # re-measuring a configuration on fresh seeds costs one solve.
-        self.solutions = ContentMemo(solution_cache_size, "sol", store)
+        self.solutions = ContentMemo(solution_cache_size, "sol")
 
     # ------------------------------------------------------------------
     def _context(self, scenario: Scenario) -> WorkloadContext:
@@ -351,8 +346,8 @@ class AnalyticBackend(PerformanceBackend):
         Empty when the solve resolves to the exact path, so exact-mode
         keys — including every key minted before the scale axis existed —
         are unchanged and warm caches stay valid.  Non-exact solves get a
-        distinct key: a shared store serving both an exact and a fluid
-        consumer must never hand one the other's solution.
+        distinct key: a memo or store directory serving both an exact and
+        a fluid consumer must never hand one the other's solution.
         """
         fluid, hier = self.resolve_modes(cluster, population)
         if not fluid and not hier:

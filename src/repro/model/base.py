@@ -7,8 +7,8 @@ workload and the closed EB population) and a full configuration, produce a
 reconfiguration algorithm monitors.
 
 This module also hosts the memoization layer.  :class:`ContentMemo` is
-the one content-addressed memo: an in-process LRU, optionally backed by
-the shared engine's cross-process store.  Two memos are built on it: the
+the one content-addressed memo: an in-process LRU, the only cache level
+a process keeps.  Two memos are built on it: the
 analytic backend's seed-free solution memo, and the
 :class:`MeasurementCache` keyed on ``(scenario fingerprint,
 configuration, seed)`` that the :class:`MemoizedBackend` wrapper
@@ -26,7 +26,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from repro.cluster.topology import ClusterSpec
 from repro.harmony.parameter import Configuration
@@ -34,9 +34,6 @@ from repro.lint import sanitizer as _san
 from repro.tpcw.browser import BrowserBehavior
 from repro.tpcw.catalog import Catalog
 from repro.tpcw.interactions import WorkloadMix
-
-if TYPE_CHECKING:
-    from repro.parallel.store import SharedStore
 
 __all__ = [
     "Scenario",
@@ -289,11 +286,6 @@ class CacheStats:
     seed_cold_misses: int = 0
     #: Misses where the configuration was never cached under any seed.
     config_cold_misses: int = 0
-    #: The subset of ``hits`` served from a cross-process/cross-run shared
-    #: store rather than this process's own cache (0 outside the shared
-    #: execution engine).  Non-zero proves cache traffic crossed a worker
-    #: or run boundary.
-    shared_hits: int = 0
 
     @property
     def lookups(self) -> int:
@@ -327,7 +319,6 @@ class CacheStats:
             "seed_cold_misses": self.seed_cold_misses,
             "config_cold_misses": self.config_cold_misses,
             "config_hit_rate": self.config_hit_rate,
-            "shared_hits": self.shared_hits,
         }
 
 
@@ -390,38 +381,30 @@ class SpeculationStats:
 
 
 class ContentMemo:
-    """A content-addressed LRU memo with an optional shared second level.
+    """A content-addressed LRU memo.
 
-    L1 is an in-process LRU of at most ``max_entries`` entries (``None``:
-    unbounded; ``0``: the memo is off and stores and counts nothing).  An
-    optional :class:`~repro.parallel.store.SharedStore` is the L2, probed
-    under ``(namespace, key)``: an L1 miss that hits the store is copied
-    into L1 and counts as a hit *and* a ``shared_hit``, and a put writes
-    both levels.  Values must be deterministic per key, which is what makes
-    a hit bit-identical to a recompute at every level.
+    An in-process LRU of at most ``max_entries`` entries (``None``:
+    unbounded; ``0``: the memo is off and stores and counts nothing).
+    Values must be deterministic per key, which is what makes a hit
+    bit-identical to a recompute, and entries computed in another process
+    safe to :meth:`absorb`.
 
-    L1 reads and writes hold the memo's lock; store traffic runs outside
-    it (it may be an IPC round trip, and a racing writer publishes
-    identical bytes).  The lock is dropped on pickling and rebuilt on
-    unpickling, so a store-free memo travels with the backend that owns it.
+    Reads and writes hold the memo's lock.  The lock is dropped on
+    pickling and rebuilt on unpickling, so a memo travels with the backend
+    that owns it.
     """
 
-    def __init__(
-        self,
-        max_entries: Optional[int],
-        namespace: str,
-        store: Optional["SharedStore"] = None,
-    ) -> None:
+    def __init__(self, max_entries: Optional[int], namespace: str) -> None:
         if max_entries is not None and max_entries < 0:
             raise ValueError("max_entries must be >= 0 (or None for unbounded)")
         self.max_entries = max_entries
         self.namespace = namespace
-        self._store = store
         self._entries: OrderedDict[tuple, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
-        #: The subset of ``hits`` served by the L2 store.
-        self.shared_hits = 0
+        #: Entries new since the last :meth:`take_gained` (None: not
+        #: recording; only fleet workers record).
+        self._gained: Optional[dict[tuple, object]] = None
         self._lock = _san.wrap_lock("ContentMemo._lock", threading.RLock())
 
     def __getstate__(self) -> dict:
@@ -439,25 +422,13 @@ class ContentMemo:
             return None
         with self._lock:
             value = self._entries.get(key)
-            if value is not None:
-                self.hits += 1
-                self._entries.move_to_end(key)
-                return value
-        if self._store is not None:
-            value = self._store.get((self.namespace, key))
-        with self._lock:
             if value is None:
                 self.misses += 1
                 self._on_miss(key)
                 return None
-            if _san.active():
-                _san.check_coherent(
-                    f"{self.namespace} L1/L2", key, self._entries.get(key), value
-                )
             self.hits += 1
-            self.shared_hits += 1
-            self._insert(key, value)
-        return value
+            self._entries.move_to_end(key)
+            return value
 
     def peek(self, key: tuple) -> Optional[object]:
         """Like :meth:`get`, but leaves the counters and LRU order alone.
@@ -468,50 +439,58 @@ class ContentMemo:
         if self.max_entries == 0:
             return None
         with self._lock:
-            value = self._entries.get(key)
-        if value is None and self._store is not None:
-            value = self._store.get((self.namespace, key))
-        return value
+            return self._entries.get(key)
 
     def put(self, key: tuple, value: object) -> None:
-        """Record one entry in L1 (evicting LRU) and in the store."""
+        """Record one entry (evicting LRU beyond ``max_entries``)."""
         if self.max_entries == 0:
             return
         with self._lock:
             self._insert(key, value)
-        if self._store is not None:
-            self._store.put((self.namespace, key), value)
 
     def absorb(self, items: Iterable[tuple[tuple, object]]) -> int:
         """Merge entries computed elsewhere; returns how many were new.
 
-        New entries are written to the store too, so a speculative
-        worker's chunk becomes visible to the whole fleet.
+        This is where two processes' values for one key meet, so a key
+        already present is checked for coherence, not overwritten.
         """
         if self.max_entries == 0:
             return 0
-        added = []
+        added = 0
         with self._lock:
             for key, value in items:
                 if key not in self._entries:
                     self._insert(key, value)
-                    added.append((key, value))
-        if self._store is not None:
-            for key, value in added:
-                self._store.put((self.namespace, key), value)
-        return len(added)
+                    added += 1
+                elif _san.active():
+                    _san.check_coherent(
+                        f"{self.namespace} absorb", key, self._entries[key], value
+                    )
+        return added
+
+    def take_gained(self) -> list[tuple[tuple, object]]:
+        """The entries new since the last call; records from here on.
+
+        A fleet worker calls this once at start-up and then after each
+        spec, so each later call returns exactly one spec's new entries.
+        """
+        with self._lock:
+            taken, self._gained = self._gained, {}
+        return list(taken.items()) if taken else []
 
     def items(self) -> list[tuple[tuple, object]]:
-        """Snapshot of the L1 entries, least recently used first."""
+        """Snapshot of the entries, least recently used first."""
         with self._lock:
             return list(self._entries.items())
 
     def _insert(self, key: tuple, value: object) -> None:
-        # L1 writes must be serialized by the memo lock; the sanitizer
+        # Writes must be serialized by the memo lock; the sanitizer
         # verifies the discipline holds on every path that reaches here.
-        _san.expect_held(self._lock, "ContentMemo L1 insert")
+        _san.expect_held(self._lock, "ContentMemo insert")
         if key not in self._entries:
             self._on_resize(key, 1)
+            if self._gained is not None:
+                self._gained[key] = value
         self._entries[key] = value
         if self.max_entries is not None:
             while len(self._entries) > self.max_entries:
@@ -519,19 +498,16 @@ class ContentMemo:
                 self._on_resize(evicted, -1)
 
     def _on_miss(self, key: tuple) -> None:
-        """Hook: a lookup of ``key`` missed both levels (lock held)."""
+        """Hook: a lookup of ``key`` missed (lock held)."""
 
     def _on_resize(self, key: tuple, delta: int) -> None:
-        """Hook: ``key`` entered (+1) or left (-1) L1 (lock held)."""
+        """Hook: ``key`` entered (+1) or left (-1) the memo (lock held)."""
 
     @property
     def stats(self) -> CacheStats:
         """Current hit/miss/size counters."""
         return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            size=len(self._entries),
-            shared_hits=self.shared_hits,
+            hits=self.hits, misses=self.misses, size=len(self._entries)
         )
 
     def __len__(self) -> int:
@@ -545,18 +521,13 @@ class MeasurementCache(ContentMemo):
     the exact :class:`Measurement` (immutable) the backend produced for
     that point, which — backends being deterministic per seed — is
     bit-identical to re-measuring.  Entries are evicted LRU beyond
-    ``max_entries``; ``store`` adds the shared engine's cross-process L2
-    (``("meas", key)`` entries).
+    ``max_entries``.
     """
 
-    def __init__(
-        self,
-        max_entries: Optional[int] = 100_000,
-        store: Optional["SharedStore"] = None,
-    ) -> None:
+    def __init__(self, max_entries: Optional[int] = 100_000) -> None:
         if max_entries is not None and max_entries < 1:
             raise ValueError("max_entries must be >= 1 (or None for unbounded)")
-        super().__init__(max_entries, "meas", store)
+        super().__init__(max_entries, "meas")
         self.seed_cold_misses = 0
         self.config_cold_misses = 0
         #: (fingerprint, configuration) → number of live seeds cached for it;

@@ -11,7 +11,8 @@ specs under one of two engines (the ``--engine`` axis; by default
 
 * ``inline`` — in-process, serial, ``jobs`` ignored;
 * ``shared`` — the persistent :class:`~repro.parallel.engine.SharedEngine`
-  (a worker fleet reused across runs over a cross-process shared cache,
+  (a worker fleet reused across runs, whose workers start from the
+  parent's cache entries and ship new ones home with their results,
   with a serial in-process path over the same cache at ``jobs=1``).
 
 Every run carries its own seed (derived deterministically with
@@ -35,7 +36,6 @@ from repro.parallel.stats import (
     merge_cache_stats,
     track_backend,
 )
-from repro.parallel.store import SharedStore
 
 __all__ = [
     "RunSpec",
@@ -46,7 +46,6 @@ __all__ = [
     "ENGINES",
     "resolve_engine",
     "SharedEngine",
-    "SharedStore",
     "CacheStatsCapture",
     "collect_cache_stats",
     "merge_cache_stats",

@@ -5,17 +5,17 @@ invocation, so pool spawn and cold caches are paid once, not per run:
 
 * **A worker fleet that outlives runs.**  The ``ProcessPoolExecutor`` is
   created on first pooled run and reused by every later run (grown, never
-  shrunk, when a run asks for more workers).  Workers are initialized
-  once with a handle to the shared store, so their persistent backends
-  keep their L1 caches across runs.
-* **A cross-process, cross-run cache.**  One
-  :class:`~repro.parallel.store.SharedStore` (rebased onto a
-  ``multiprocessing.Manager`` dict when the fleet starts) is the second
-  level of the solution and measurement memos of the parent *and* every
-  worker: each persistent backend's two
-  :class:`~repro.model.base.ContentMemo` instances are built with
-  ``store=``, so a configuration solved anywhere is a hit everywhere,
-  including in later experiments of the same invocation.
+  shrunk, when a run asks for more workers).  Each worker builds its
+  persistent backend once, so its memos stay warm across runs.
+* **One cache level per process.**  Every process keeps exactly one:
+  the two :class:`~repro.model.base.ContentMemo` instances (solutions and
+  measurements) of its persistent backend.  Entries cross processes in
+  two places only.  A worker starts with a snapshot of the parent's
+  entries, so serial warm-up and ``--store-path`` entries seed the fleet.
+  Each spec's result comes home with the entries the worker's memos
+  gained during it, and the parent absorbs them in plan order, so a
+  configuration solved anywhere is a hit in the parent, in any fleet
+  started later and in later experiments of the invocation.
 * **A serial in-process path.**  ``jobs=1`` plans (and plans nested
   inside a fleet worker) run spec by spec in plan order over the same
   persistent backend, so they reuse everything earlier runs cached.
@@ -27,11 +27,10 @@ preserves the executor's bit-identity contract at every jobs setting.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Hashable, Iterator, Optional, Sequence
+from typing import Any, Hashable, Iterator, Mapping, Optional, Sequence
 
 from repro.faults.engine import (
     EngineFaultInjector,
@@ -40,10 +39,9 @@ from repro.faults.engine import (
 )
 from repro.lint import sanitizer as _san
 from repro.model.analytic import AnalyticBackend
-from repro.model.base import MeasurementCache, MemoizedBackend
+from repro.model.base import ContentMemo, MeasurementCache, MemoizedBackend
 from repro.parallel.plan import RunSpec
 from repro.parallel.stats import CacheStatsCapture, track_backend
-from repro.parallel.store import SharedStore
 
 __all__ = [
     "ENGINES",
@@ -58,6 +56,10 @@ __all__ = [
 #: (jobs is ignored), ``shared`` = this module's persistent fleet +
 #: shared cache (serial in-process over the same cache at jobs=1).
 ENGINES = ("inline", "shared")
+
+#: Entry bound of each persistent memo: the engine's backend serves a
+#: whole invocation, so its warmth is not cut to the per-run defaults.
+MEMO_ENTRIES = 500_000
 
 
 def resolve_engine(engine: Optional[str], jobs: int) -> str:
@@ -100,32 +102,37 @@ def run_serial(
         yield spec.key, value, capture.delta()
 
 
-def _fleet_execute(spec: RunSpec) -> tuple[Hashable, Any, Optional[dict], list]:
-    """Fleet worker entry point: one spec plus its cache-counter delta.
+def _fleet_execute(
+    spec: RunSpec,
+) -> tuple[Hashable, Any, Optional[dict], list, dict]:
+    """Fleet worker entry point: one spec plus what it leaves behind.
 
-    The fourth element ships the worker-side sanitizer findings home (an
-    empty list when the sanitizer is off): each worker process runs its
-    own sanitizer, and findings that stay in a worker die with it.
+    Besides the result and its cache-counter delta, the worker ships
+    home its sanitizer findings (an empty list when the sanitizer is
+    off; each worker runs its own sanitizer) and the entries its memos
+    gained during the spec.  Anything that stays in a worker dies with it.
     """
     key, value, delta = next(run_serial([spec]))
-    return key, value, delta, _san.take_findings()
+    gained = SharedEngine._instance.take_gained()
+    return key, value, delta, _san.take_findings(), gained
 
 
-def _init_fleet_worker(remote: Any) -> None:
-    """Fleet worker initializer: adopt the shared store, build the backend.
+def _init_fleet_worker(entries: Mapping[tuple, object]) -> None:
+    """Fleet worker initializer: build the backend from the parent's entries.
 
     Runs once per worker process (not per task).  The worker's engine
     singleton is marked as a worker so a spec that itself constructs a
     ``ParallelExecutor`` degrades to in-process execution instead of
-    forking a fleet of its own.
+    forking a fleet of its own.  Recording starts after the snapshot is
+    absorbed, so each spec ships only what it computed.
     """
     engine = SharedEngine._instance = SharedEngine(worker=True)
-    engine.store.attach(remote)
-    engine.backend()  # warm eagerly: every spec shares this one
+    engine.absorb(entries)
+    engine.take_gained()
 
 
 class SharedEngine:
-    """Process-wide singleton owning the fleet, the store and the backends."""
+    """Process-wide singleton owning the fleet and the persistent backend."""
 
     _instance: Optional["SharedEngine"] = None
     # Class-level by necessity: it guards singleton creation itself, is
@@ -147,11 +154,11 @@ class SharedEngine:
     def configure(cls, store_path: Optional[str] = None) -> None:
         """Set invocation-wide engine options before first use.
 
-        ``store_path`` points the shared store at a durable segment
-        directory (:class:`~repro.durability.diskstore.StorePersistence`):
-        persisted entries are adopted at bring-up, new entries are
-        flushed after every run and at shutdown.  Must be called before
-        the singleton exists; :meth:`reset` clears it.
+        ``store_path`` names a durable segment directory
+        (:class:`~repro.durability.diskstore.StorePersistence`): the
+        parent engine loads its entries into the memos at bring-up and
+        flushes new entries after every run and at shutdown.  Must be
+        called before the singleton exists; :meth:`reset` clears it.
         """
         with cls._instance_lock:
             if cls._instance is not None and cls._store_path != store_path:
@@ -171,33 +178,27 @@ class SharedEngine:
             engine.shutdown()
 
     def __init__(self, worker: bool = False) -> None:
-        self.store = SharedStore()
         self._worker = worker
-        # Durable store bring-up (parent only: workers reach the same
-        # entries through the Manager dict; the parent does the flushing).
+        # Reentrant: backend() may be reached from a path already holding
+        # the lock (e.g. fleet bring-up snapshotting the memos).
+        self._lock = _san.wrap_lock("SharedEngine._lock", threading.RLock())
+        self._backend: Optional[MemoizedBackend] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
+        self._pool_workers = 0
+        #: Diagnostics: runs served.
+        self.runs = 0
+        # Durable store bring-up (parent only: workers get the entries in
+        # their start-up snapshot; the parent does the flushing).
         self.persistence = None
         if not worker and SharedEngine._store_path is not None:
             from repro.durability.diskstore import StorePersistence
 
             self.persistence = StorePersistence(SharedEngine._store_path)
-            entries = self.persistence.load()
-            if entries:
-                self.store.preload(entries)
-            self.store.quarantined += self.persistence.quarantined
-        # Reentrant: backend() may be reached from a path already holding
-        # the lock (e.g. fleet bring-up warming the backend).
-        self._lock = _san.wrap_lock("SharedEngine._lock", threading.RLock())
-        self._backend: Optional[MemoizedBackend] = None
-        self._manager = None
-        self._remote = None
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_workers = 0
-        #: Diagnostics: runs served.
-        self.runs = 0
+            self.absorb(self.persistence.load())
 
     # -- backends --------------------------------------------------------
     def backend(self) -> MemoizedBackend:
-        """The persistent store-backed backend (built once, shared by all).
+        """The persistent backend (built once, shared by all).
 
         Thread-safe and reused across experiments; drivers get it from
         :func:`repro.experiments.runner.make_backend` when the config's
@@ -210,12 +211,47 @@ class SharedEngine:
             with self._lock:
                 if self._backend is None:
                     backend = MemoizedBackend(
-                        AnalyticBackend(store=self.store),
-                        cache=MeasurementCache(store=self.store),
+                        AnalyticBackend(solution_cache_size=MEMO_ENTRIES),
+                        cache=MeasurementCache(MEMO_ENTRIES),
                     )
                     track_backend(backend)
                     self._backend = backend
         return self._backend
+
+    def _memos(self) -> tuple[ContentMemo, ContentMemo]:
+        """The persistent backend's solution and measurement memos."""
+        backend = self.backend()
+        return backend.backend.solutions, backend.cache
+
+    def entries(self) -> dict[tuple, object]:
+        """Every memo entry, keyed ``(namespace, key)`` as on disk.
+
+        In each memo's LRU order, as :meth:`absorb` keeps it: the order
+        only decides evictions, never a value.
+        """
+        return {
+            (memo.namespace, key): value
+            for memo in self._memos()
+            for key, value in memo.items()  # repro: noqa[RPL003]
+        }
+
+    def absorb(self, entries: Mapping[tuple, object]) -> None:
+        """Merge entries keyed ``(namespace, key)`` into the memos, in
+        the mapping's order (see :meth:`entries`)."""
+        for memo in self._memos():
+            memo.absorb(
+                (key, value)
+                for (namespace, key), value in entries.items()  # repro: noqa[RPL003]
+                if namespace == memo.namespace
+            )
+
+    def take_gained(self) -> dict[tuple, object]:
+        """The memos' entries new since the last call, keyed as on disk."""
+        return {
+            (memo.namespace, key): value
+            for memo in self._memos()
+            for key, value in memo.take_gained()
+        }
 
     # -- execution -------------------------------------------------------
     def run(
@@ -246,8 +282,9 @@ class SharedEngine:
                     # Retire the broken pool so a later run starts fresh.
                     self._teardown_pool()
                     raise
-                for key, value, delta, shipped in mapped:
+                for key, value, delta, shipped, gained in mapped:
                     _san.absorb(shipped)
+                    self.absorb(gained)
                     yield key, value, delta
             else:
                 yield from run_serial(specs)
@@ -259,7 +296,7 @@ class SharedEngine:
         specs: Sequence[RunSpec],
         jobs: int,
         injector: Optional[EngineFaultInjector] = None,
-    ) -> list[tuple[Hashable, Any, Optional[dict], list]]:
+    ) -> list[tuple[Hashable, Any, Optional[dict], list, dict]]:
         workers = min(jobs, len(specs))
         pool = self._ensure_fleet(workers, injector)
         chunksize = plan_chunksize(len(specs), workers)
@@ -300,24 +337,18 @@ class SharedEngine:
         stale: Optional[ProcessPoolExecutor] = None
         try:
             with self._lock:
-                if self._manager is None:
-                    # One-time fleet bring-up: the fleet does not exist
-                    # yet, so nothing can contend on these RPCs.
-                    self._manager = multiprocessing.Manager()
-                    self._remote = self._manager.dict()  # repro: noqa[RPL104]
-                    self.store.attach(self._remote)  # repro: noqa[RPL104]
                 if self._pool is None or self._pool_workers < workers:
                     stale, self._pool = self._pool, None
                     self._pool_workers = max(self._pool_workers, workers)
                     self._pool = ProcessPoolExecutor(
                         max_workers=self._pool_workers,
                         initializer=_init_fleet_worker,
-                        initargs=(self._remote,),
+                        initargs=(self.entries(),),
                     )
                 pool = self._pool
         except OSError as exc:
-            # Real bring-up failure (fork refused, manager socket, fd
-            # exhaustion): same ladder as an injected one.
+            # Real bring-up failure (fork refused, fd exhaustion): same
+            # ladder as an injected one.
             raise FleetUnavailableError(f"fleet bring-up failed: {exc}") from exc
         if stale is not None:
             stale.shutdown(wait=True)
@@ -339,7 +370,7 @@ class SharedEngine:
     def _flush_store(
         self, injector: Optional[EngineFaultInjector] = None
     ) -> None:
-        """Persist not-yet-durable store entries (no-op without a path).
+        """Persist not-yet-durable memo entries (no-op without a path).
 
         Called after every run and at shutdown, so a kill between runs
         loses at most the entries of the in-flight run — which a resumed
@@ -350,27 +381,26 @@ class SharedEngine:
         self.persistence.injector = (
             injector if injector is not None else active_injector()
         )
-        self.persistence.flush(self.store.snapshot())
+        self.persistence.flush(self.entries())
 
     def shutdown(self) -> None:
-        """Stop the fleet and the manager (the store reverts to nothing)."""
+        """Flush, stop the fleet and drop the persistent backend."""
         self._flush_store()
         self._teardown_pool()
         with self._lock:
-            manager, self._manager = self._manager, None
-            self._remote = None
             self._backend = None
             self._pool_workers = 0
-        if manager is not None:
-            manager.shutdown()
 
     def stats(self) -> dict[str, float]:
-        """Engine-level diagnostics (for benchmarks and reports)."""
+        """Engine-level diagnostics (for benchmarks and reports).
+
+        ``store_entries`` counts the entries in this process's memos.
+        """
         out = {
             "runs": float(self.runs),
             "pool_workers": float(self._pool_workers),
+            "store_entries": float(sum(len(memo) for memo in self._memos())),
         }
-        out.update({f"store_{k}": v for k, v in sorted(self.store.stats().items())})
         if self.persistence is not None:
             out.update(
                 {

@@ -9,9 +9,10 @@ addressed caches only) and results are collated by key in plan order:
 * ``inline`` — always in-process and serial, ``jobs`` is ignored.  The
   debugging/CI baseline and the default at ``jobs=1``.
 * ``shared`` — the persistent :class:`~repro.parallel.engine.SharedEngine`:
-  a worker fleet reused across runs over a cross-process shared cache,
-  and a serial in-process path over the same caches at ``jobs=1``.  The
-  default at ``jobs > 1``.
+  a worker fleet reused across runs, whose workers start from the
+  parent's cache entries and ship the entries they compute home with
+  each result, and a serial in-process path over the parent's caches at
+  ``jobs=1``.  The default at ``jobs > 1``.
 
 Whatever the engine, every spec runs inside a
 :class:`~repro.parallel.stats.CacheStatsCapture`, and the merged counter

@@ -17,10 +17,9 @@ order.  Prefetching only ever changes *when* a solution is computed, never
 what any later measurement observes.
 
 Under the shared execution engine (``--engine shared``) the chunks run on
-the persistent worker fleet instead of a throwaway pool, and a shared-
-store-backed parent backend re-publishes absorbed solutions to the
-cross-process cache — a speculatively warmed configuration is then a hit
-for every worker and every later experiment, not just for this parent.
+the persistent worker fleet instead of a throwaway pool.  When the parent
+backend is the engine's own, absorbed solutions land in the engine's
+memos, so later fleets start with them and ``--store-path`` persists them.
 """
 
 from __future__ import annotations

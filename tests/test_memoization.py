@@ -20,7 +20,6 @@ from repro.model.base import (
     MemoizedBackend,
     Scenario,
 )
-from repro.parallel.store import SharedStore
 from repro.tpcw.interactions import BROWSING_MIX, SHOPPING_MIX
 from repro.util.rng import derive_seed
 
@@ -72,18 +71,6 @@ class TestScenarioFingerprint:
 
 
 class TestContentMemo:
-    def test_store_hit_is_a_shared_hit_and_lands_in_l1(self):
-        store = SharedStore()
-        store.put(("sol", ("k",)), "v")
-        memo = ContentMemo(8, "sol", store)
-        assert memo.get(("k",)) == "v"
-        assert (memo.hits, memo.shared_hits, memo.misses) == (1, 1, 0)
-        assert memo.items() == [(("k",), "v")]
-        assert memo.get(("k",)) == "v"  # now served by L1
-        assert (memo.hits, memo.shared_hits) == (2, 1)
-        assert memo.get(("other",)) is None
-        assert memo.misses == 1
-
     def test_peek_leaves_counters_and_lru_order_alone(self):
         memo = ContentMemo(2, "sol")
         memo.put(("a",), 1)
@@ -95,26 +82,35 @@ class TestContentMemo:
         assert [key for key, _ in memo.items()] == [("b",), ("c",)]
 
     def test_zero_entries_disable_the_memo(self):
-        store = SharedStore()
-        memo = ContentMemo(0, "sol", store)
+        memo = ContentMemo(0, "sol")
         memo.put(("k",), 1)
         assert memo.get(("k",)) is None
         assert memo.peek(("k",)) is None
         assert memo.absorb([(("k",), 1)]) == 0
         assert memo.stats.lookups == 0
-        assert len(memo) == 0 and len(store) == 0
+        assert len(memo) == 0
 
-    def test_absorb_counts_new_entries_and_writes_the_store(self):
-        store = SharedStore()
-        memo = ContentMemo(8, "sol", store)
+    def test_absorb_counts_new_entries(self):
+        memo = ContentMemo(8, "sol")
         memo.put(("a",), 1)
         assert memo.absorb([(("a",), 1), (("b",), 2)]) == 1
         assert memo.peek(("b",)) == 2
-        assert store.get(("sol", ("b",))) == 2
         assert memo.stats.lookups == 0
 
+    def test_take_gained_returns_each_stretch_of_new_entries(self):
+        memo = ContentMemo(1, "sol")
+        memo.put(("before",), 0)
+        assert memo.take_gained() == []  # recording starts here
+        memo.put(("a",), 1)
+        memo.put(("a",), 1)  # not new
+        memo.absorb([(("b",), 2)])  # evicts "a", which still counts
+        assert memo.take_gained() == [(("a",), 1), (("b",), 2)]
+        assert memo.take_gained() == []
+        memo.absorb([(("b",), 2)])  # already present: nothing gained
+        assert memo.take_gained() == []
+
     def test_threaded_storm_loses_no_update(self):
-        memo = ContentMemo(None, "sol", SharedStore())
+        memo = ContentMemo(None, "sol")
         added = [0] * 8
         errors: list = []
 

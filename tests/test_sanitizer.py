@@ -16,8 +16,7 @@ from __future__ import annotations
 import threading
 
 from repro.lint import sanitizer as san
-from repro.model.base import MeasurementCache
-from repro.parallel.store import SharedStore
+from repro.model.base import ContentMemo, MeasurementCache
 
 
 def rules_of(captured):
@@ -190,13 +189,14 @@ def test_check_coherent_flags_divergence_only():
     assert "memo" in captured[0].message
 
 
-def test_shared_store_put_divergence_reports():
+def test_divergent_absorb_reports():
     with san.scope() as captured:
-        store = SharedStore()
-        store.put(("sol", "k"), 41)
-        store.put(("sol", "k"), 41)  # idempotent republish: clean
-        store.put(("sol", "k"), 42)  # same key, new value
+        memo = ContentMemo(8, "sol")
+        memo.put(("k",), 41)
+        memo.absorb([(("k",), 41)])  # the same value from elsewhere: clean
+        memo.absorb([(("k",), 42)])  # same key, new value
     assert rules_of(captured) == ["RPL153"]
+    assert "sol absorb" in captured[0].message
 
 
 # ----------------------------------------------------------------------
@@ -233,22 +233,21 @@ def test_condition_wait_releases_and_reacquires_tracked_lock():
 # ----------------------------------------------------------------------
 def test_measurement_cache_insert_requires_lock():
     with san.scope() as captured:
-        cache = MeasurementCache(store=SharedStore())
+        cache = MeasurementCache()
         cache._insert(("k",), object())  # bypasses the lock: violation
         with cache._lock:
             cache._insert(("k2",), object())  # disciplined path: clean
     assert rules_of(captured) == ["RPL152"]
 
 
-def test_clean_store_traffic_has_no_findings():
+def test_clean_absorb_traffic_has_no_findings():
     with san.scope() as captured:
-        store = SharedStore()
+        memo = ContentMemo(None, "sol")
+        assert memo.absorb([((i,), i * i) for i in range(8)]) == 8
         for i in range(8):
-            store.put(("sol", i), i * i)
-        for i in range(8):
-            assert store.get(("sol", i)) == i * i
-        for i in range(8):
-            store.put(("sol", i), i * i)  # idempotent republish
+            assert memo.get((i,)) == i * i
+        # The same entries again, as a second worker would ship them.
+        assert memo.absorb([((i,), i * i) for i in range(8)]) == 0
     assert captured == []
 
 

@@ -1,15 +1,14 @@
-"""The shared execution engine: equivalence matrix and store tests.
+"""The shared execution engine: equivalence matrix and cache topology.
 
 The engine axis contract is the same as ``--jobs``: ``--engine`` changes
 wall-clock time and cache topology, never numbers.  The matrix test here
-is this PR's hard acceptance — one reduced Figure-4 workload serialized
-to byte-identical JSON at every (engine, jobs) setting — plus DES-backed
-plan equivalence and shared-store concurrency.
+is the hard acceptance — one reduced Figure-4 workload serialized to
+byte-identical JSON at every (engine, jobs) setting — plus DES-backed
+plan equivalence, entries crossing between the parent and the fleet, and
+the durable ``--store-path`` directory.
 """
 
 import json
-import multiprocessing
-import threading
 
 import pytest
 
@@ -24,7 +23,6 @@ from repro.parallel import (
     ParallelExecutor,
     RunSpec,
     SharedEngine,
-    SharedStore,
     plan_chunksize,
     resolve_engine,
 )
@@ -43,7 +41,7 @@ def fresh_engine():
 
 @pytest.fixture(scope="module", autouse=True)
 def engine_teardown():
-    """Never leak a fleet/manager into later test modules."""
+    """Never leak a fleet into later test modules."""
     yield
     SharedEngine.reset()
 
@@ -203,12 +201,12 @@ class TestEquivalenceMatrix:
 class TestSharedCacheTopology:
     """Cross-run and cross-worker cache behavior of the shared engine."""
 
-    def test_fleet_workers_hit_migrated_store(self, fresh_engine):
-        # Warm the store on the serial path (local dict)...
+    def test_fleet_workers_start_with_parent_entries(self, fresh_engine):
+        # Warm the parent's memos on the serial path...
         warm = ParallelExecutor(jobs=1, engine="shared")
         warm.run([RunSpec(key="warm", fn=shared_measure, kwargs={"tag": -1})])
-        # ...then spin up the fleet: attach migrates local entries, so every
-        # cache-cold worker's first lookup is a cross-process store hit.
+        # ...then spin up the fleet: every worker starts with a snapshot
+        # of those entries, so no worker measures the point again.
         pooled = ParallelExecutor(jobs=2, engine="shared")
         results = pooled.run(
             [
@@ -219,10 +217,8 @@ class TestSharedCacheTopology:
         assert len(set(results.values())) == 1  # hits are bit-identical
         stats = pooled.cache_stats
         assert stats is not None
-        assert (
-            stats.get("measurement_shared_hits", 0)
-            + stats.get("solution_shared_hits", 0)
-        ) > 0
+        assert stats["measurement_misses"] == 0
+        assert stats["measurement_hits"] > 0
 
     def test_cross_run_hits_in_pooled_runs(self, fresh_engine):
         executor = ParallelExecutor(jobs=2, engine="shared")
@@ -274,6 +270,30 @@ class TestSharedCacheTopology:
         assert stats["measurement_misses"] == 0
         assert stats["measurement_hits"] == 2 * len(plan)
 
+    def test_store_entries_count_what_the_workers_computed(self, fresh_engine):
+        # Each spec measures its own population, so no two specs share a
+        # solution or a measurement: every miss is a distinct entry.
+        executor = ParallelExecutor(jobs=2, engine="shared")
+        executor.run(
+            [
+                RunSpec(key=("n", n), fn=population_probe, kwargs={"population": n})
+                for n in (100, 150, 200, 250)
+            ]
+        )
+        stats = executor.cache_stats
+        assert stats is not None
+        computed = stats["measurement_misses"] + stats["solution_misses"]
+        assert computed == 8
+        assert SharedEngine.instance().stats()["store_entries"] == computed
+
+
+def population_probe(population):
+    """Spec: one shared-engine measurement at its own population."""
+    backend = make_backend(ExperimentConfig(engine="shared"))
+    cluster, scenario = _probe_scenario()
+    scenario = Scenario(cluster=cluster, mix=scenario.mix, population=population)
+    return backend.measure(scenario, cluster.default_configuration(), seed=1).wips
+
 
 def memoized_shared_probe(seed):
     """Spec: two measurements of one point through the shared engine."""
@@ -307,86 +327,3 @@ class TestDurableStore:
             first_stats["persist_entries_persisted"]
         )
         assert list(tmp_path.glob("segment-*.seg"))
-
-
-class TestSharedStore:
-    def test_attach_migrates_and_is_idempotent(self):
-        store = SharedStore()
-        store.put(("sol", "a"), 1)
-        remote: dict = {}
-        store.attach(remote)
-        assert remote == {("sol", "a"): 1}
-        store.attach(remote)  # same mapping: no-op
-        with pytest.raises(RuntimeError, match="already attached"):
-            store.attach({})
-
-    def test_counters(self):
-        store = SharedStore()
-        assert store.get(("sol", "x")) is None
-        store.put(("sol", "x"), 42)
-        assert store.get(("sol", "x")) == 42
-        assert store.stats()["entries"] == 1.0
-
-    def test_size_guard_clears_wholesale(self):
-        store = SharedStore(max_entries=100)
-        for i in range(512):  # the guard checks every 512 puts
-            store.put(("sol", i), i)
-        assert len(store) == 0  # over budget at the check: cleared
-
-    def test_concurrent_writers(self):
-        """Threaded put/get storm: every reader sees its deterministic value."""
-        store = SharedStore()
-        errors: list = []
-
-        def hammer(worker):
-            try:
-                for i in range(300):
-                    key = ("sol", (worker + i) % 50)
-                    store.put(key, key[1] * 2)  # deterministic per key
-                    value = store.get(key)
-                    if value != key[1] * 2:
-                        errors.append((key, value))
-            except Exception as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=hammer, args=(w,)) for w in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert len(store) == 50
-        assert all(store.get(("sol", k)) == k * 2 for k in range(50))
-
-    def test_concurrent_writers_attached(self):
-        """The same storm through a Manager proxy (the fleet's real path)."""
-        manager = multiprocessing.Manager()
-        try:
-            store = SharedStore()
-            store.attach(manager.dict())
-            errors: list = []
-
-            def hammer(worker):
-                try:
-                    for i in range(25):
-                        key = ("meas", (worker + i) % 10)
-                        store.put(key, key[1])
-                        if store.get(key) != key[1]:
-                            errors.append(key)
-                except Exception as exc:  # pragma: no cover
-                    errors.append(exc)
-
-            threads = [
-                threading.Thread(target=hammer, args=(w,)) for w in range(3)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            assert not errors
-            assert len(store) == 10
-        finally:
-            manager.shutdown()
-
