@@ -276,7 +276,7 @@ class TestSharedCacheTopology:
         executor = ParallelExecutor(jobs=2, engine="shared")
         executor.run(
             [
-                RunSpec(key=("n", n), fn=population_probe, kwargs={"population": n})
+                RunSpec(key=n, fn=population_probe, kwargs={"population": n})
                 for n in (100, 150, 200, 250)
             ]
         )
@@ -290,8 +290,8 @@ class TestSharedCacheTopology:
 def population_probe(population):
     """Spec: one shared-engine measurement at its own population."""
     backend = make_backend(ExperimentConfig(engine="shared"))
-    cluster, scenario = _probe_scenario()
-    scenario = Scenario(cluster=cluster, mix=scenario.mix, population=population)
+    cluster = ClusterSpec.three_tier(1, 1, 1)
+    scenario = Scenario(cluster=cluster, mix=SHOPPING_MIX, population=population)
     return backend.measure(scenario, cluster.default_configuration(), seed=1).wips
 
 
