@@ -113,7 +113,7 @@ def _fleet_execute(
     gained during the spec.  Anything that stays in a worker dies with it.
     """
     key, value, delta = next(run_serial([spec]))
-    gained = SharedEngine._instance.take_gained()
+    gained = SharedEngine._instance._take_gained()
     return key, value, delta, _san.take_findings(), gained
 
 
@@ -127,8 +127,8 @@ def _init_fleet_worker(entries: Mapping[tuple, object]) -> None:
     absorbed, so each spec ships only what it computed.
     """
     engine = SharedEngine._instance = SharedEngine(worker=True)
-    engine.absorb(entries)
-    engine.take_gained()
+    engine._absorb(entries)
+    engine._take_gained()
 
 
 class SharedEngine:
@@ -194,7 +194,7 @@ class SharedEngine:
             from repro.durability.diskstore import StorePersistence
 
             self.persistence = StorePersistence(SharedEngine._store_path)
-            self.absorb(self.persistence.load())
+            self._absorb(self.persistence.load())
 
     # -- backends --------------------------------------------------------
     def backend(self) -> MemoizedBackend:
@@ -223,10 +223,10 @@ class SharedEngine:
         backend = self.backend()
         return backend.backend.solutions, backend.cache
 
-    def entries(self) -> dict[tuple, object]:
+    def _entries(self) -> dict[tuple, object]:
         """Every memo entry, keyed ``(namespace, key)`` as on disk.
 
-        In each memo's LRU order, as :meth:`absorb` keeps it: the order
+        In each memo's LRU order, as :meth:`_absorb` keeps it: the order
         only decides evictions, never a value.
         """
         return {
@@ -235,9 +235,9 @@ class SharedEngine:
             for key, value in memo.items()  # repro: noqa[RPL003]
         }
 
-    def absorb(self, entries: Mapping[tuple, object]) -> None:
+    def _absorb(self, entries: Mapping[tuple, object]) -> None:
         """Merge entries keyed ``(namespace, key)`` into the memos, in
-        the mapping's order (see :meth:`entries`)."""
+        the mapping's order (see :meth:`_entries`)."""
         for memo in self._memos():
             memo.absorb(
                 (key, value)
@@ -245,7 +245,7 @@ class SharedEngine:
                 if namespace == memo.namespace
             )
 
-    def take_gained(self) -> dict[tuple, object]:
+    def _take_gained(self) -> dict[tuple, object]:
         """The memos' entries new since the last call, keyed as on disk."""
         return {
             (memo.namespace, key): value
@@ -284,7 +284,7 @@ class SharedEngine:
                     raise
                 for key, value, delta, shipped, gained in mapped:
                     _san.absorb(shipped)
-                    self.absorb(gained)
+                    self._absorb(gained)
                     yield key, value, delta
             else:
                 yield from run_serial(specs)
@@ -343,7 +343,7 @@ class SharedEngine:
                     self._pool = ProcessPoolExecutor(
                         max_workers=self._pool_workers,
                         initializer=_init_fleet_worker,
-                        initargs=(self.entries(),),
+                        initargs=(self._entries(),),
                     )
                 pool = self._pool
         except OSError as exc:
@@ -381,7 +381,7 @@ class SharedEngine:
         self.persistence.injector = (
             injector if injector is not None else active_injector()
         )
-        self.persistence.flush(self.entries())
+        self.persistence.flush(self._entries())
 
     def shutdown(self) -> None:
         """Flush, stop the fleet and drop the persistent backend."""
