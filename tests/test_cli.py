@@ -154,6 +154,42 @@ class TestDurabilityCli:
         assert captured.out == plain
         assert "resumed from" in captured.err
 
+    @staticmethod
+    def _cut(journal, outcomes):
+        """Keep the header and the first ``outcomes`` frames, as if the
+        run had been killed right after committing them."""
+        from repro.durability.framing import scan_file, write_frames
+
+        payloads = scan_file(journal).payloads
+        assert len(payloads) > 1 + outcomes
+        write_frames(journal, payloads[: 1 + outcomes])
+
+    @pytest.mark.parametrize(
+        "write_flags, resume_flags",
+        [(["--speculate"], []), ([], ["--speculate"])],
+        ids=["written-speculating", "resumed-speculating"],
+    )
+    def test_resume_ignores_speculate(
+        self, tmp_path, capsys, write_flags, resume_flags
+    ):
+        # Speculation never shapes results, so the journal header leaves
+        # it out: a run may be resumed with or without it.
+        assert main(list(self.ARGS)) == 0
+        plain = capsys.readouterr().out
+        journal = tmp_path / "run.journal"
+        assert main(self.ARGS + write_flags + ["--journal", str(journal)]) == 0
+        assert capsys.readouterr().out == plain
+        # A full journal replays every step; one cut three tuning steps
+        # past the 10 baseline repeats replays those, then runs live.
+        for cut, replayed in ((None, 18), (13, 13)):
+            if cut is not None:
+                self._cut(journal, cut)
+            rc = main(self.ARGS + resume_flags + ["--resume", str(journal)])
+            assert rc == 0
+            captured = capsys.readouterr()
+            assert captured.out == plain
+            assert f"replayed {replayed} committed" in captured.err
+
     def test_fresh_run_refuses_an_existing_journal(self, tmp_path, capsys):
         journal = tmp_path / "run.journal"
         assert main(self.ARGS + ["--journal", str(journal)]) == 0
