@@ -190,24 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=False,
         help=(
-            "prefetch the strategy's lookahead frontier in batched solves "
+            "prefetch the strategy's certain next asks in batched solves "
             "(results are bit-identical; only wall-clock changes)"
-        ),
-    )
-    p.add_argument(
-        "--jobs", type=_jobs_argument, default=1, metavar="N",
-        help=(
-            "worker processes fanning out the speculative frontier "
-            "(default 1; 0 = all cores; needs --speculate)"
-        ),
-    )
-    p.add_argument(
-        "--engine", choices=ENGINES, default=None,
-        help=(
-            "execution engine for speculative prefetch fan-out: inline "
-            "(serial) or shared (persistent worker fleet + cross-run "
-            "shared cache).  Default: shared when jobs > 1, inline "
-            "otherwise; results are bit-identical at every setting"
         ),
     )
     p.add_argument(
@@ -265,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=False,
         help=(
-            "prefetch each tuning step's lookahead frontier in batched "
+            "prefetch each tuning step's certain next asks in batched "
             "solves (results are bit-identical; only wall-clock changes)"
         ),
     )
@@ -374,7 +358,6 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    from repro.parallel import resolve_jobs
     from repro.tuning.session import ClusterTuningSession, make_scheme
     from repro.util.serialization import save_configuration, save_history
 
@@ -426,8 +409,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         resilience=resilience,
         on_measure_error="penalize" if args.faults else "raise",
         speculate=args.speculate,
-        speculate_jobs=resolve_jobs(args.jobs) if args.speculate else 1,
-        speculate_engine=args.engine,
         journal=journal,
     )
     baseline = session.measure_baseline().window_stats(0)

@@ -55,7 +55,7 @@ class ExperimentConfig:
     jobs: int = 1
     #: Memoize measurements (the ``--no-cache`` switch turns this off).
     memoize: bool = True
-    #: Speculatively prefetch the tuning loop's lookahead frontier
+    #: Speculatively prefetch the tuning loop's certain next asks
     #: (the ``--speculate`` switch; results are bit-identical either way).
     speculate: bool = False
     #: Record simulator observability diagnostics (kernel entry counts,

@@ -69,28 +69,15 @@ class SearchStrategy(abc.ABC):
         Entry *k* is the configuration this strategy will ask *k* steps
         ahead, as far as that is determined regardless of pending
         measurement values (e.g. the tail of a fixed probe or vertex
-        queue).  The speculative layer (:mod:`repro.harmony.speculate`)
-        zips the per-group forecasts positionally into future full
-        configurations and warms the backend's deterministic caches for
-        them in one batch per step.  The contract is advisory only: the
-        strategy state must not change and no randomness may be consumed;
-        a wrong or unused entry is wasted warmth, never observable.  The
-        default speculates nothing, which is always correct.
-        """
-        return []
-
-    def speculate_alternatives(self) -> list[Configuration]:
-        """Unordered alternatives for the next ask beyond the forecast.
-
-        Where :meth:`speculate` ends because the next ask depends on a
-        pending value, the strategy may still know the *finite set* of
-        configurations that ask could be (e.g. a simplex's reflection vs.
-        contraction candidates).  At most one of them will be committed —
-        they are alternatives, not a sequence — so the speculative layer
-        only uses them where a single fragment's warmth is useful on its
-        own (per-line caching under partitioning, or single-group
-        schemes).  Same advisory contract as :meth:`speculate`; the
-        default knows no alternatives.
+        queue); where the next ask depends on a pending value the
+        forecast ends.  The speculative layer
+        (:mod:`repro.harmony.speculate`) zips the per-group forecasts
+        positionally into future full configurations and warms the
+        backend's deterministic caches for them in one batch per step.
+        The contract is advisory only: the strategy state must not change
+        and no randomness may be consumed; an unused entry is wasted
+        warmth, never observable.  The default speculates nothing, which
+        is always correct.
         """
         return []
 
@@ -144,18 +131,7 @@ class SimplexStrategy(SearchStrategy):
         asks — every remaining queue entry is guaranteed to be asked, so
         the whole queue is returned and prefetched as one deep batch.
         """
-        return self._simplex.speculative_frontier(certain_only=True)
-
-    def speculate_alternatives(self) -> list[Configuration]:
-        """The benign value-conditional candidates for the next ask.
-
-        Rank-variant reflections, contraction points, the first shrink
-        vertex and post-queue reflections — everything
-        :meth:`~repro.harmony.simplex.NelderMeadSimplex.speculative_branch_candidates`
-        deems worth prefetching (the expansion overshoot is excluded
-        there: rarely taken, slow to solve).
-        """
-        return self._simplex.speculative_branch_candidates()
+        return self._simplex.speculative_frontier()
 
     def _tell(self, config: Configuration, performance: float) -> None:
         objective = -performance if np.isfinite(performance) else float("inf")
@@ -295,31 +271,6 @@ class CoordinateDescent(SearchStrategy):
             return self._probes_for(self._incumbent, self._dim)
         ahead = len(self._probe_results) + (1 if self._pending is not None else 0)
         return list(self._probes[ahead:])
-
-    def speculate_alternatives(self) -> list[Configuration]:
-        """The next dimension's probes, for each possible incumbent.
-
-        Only non-empty while the current dimension's last probe is in
-        flight: the move decision then branches on who the incumbent will
-        be — it stays, moves to the best probe measured so far, or moves
-        to the pending probe — and each hypothesis implies a probe list
-        for the next dimension.
-        """
-        ahead = len(self._probe_results) + (1 if self._pending is not None else 0)
-        if not self._probes or ahead < len(self._probes):
-            return []
-        next_dim = (self._dim + 1) % self.space.dimension
-        candidates = [self._incumbent]
-        if self._probe_results and self._incumbent_perf is not None:
-            best_cfg, best_perf = max(self._probe_results, key=lambda cv: cv[1])
-            if best_perf > self._incumbent_perf and best_cfg not in candidates:
-                candidates.append(best_cfg)
-        if self._pending is not None and self._pending not in candidates:
-            candidates.append(self._pending)
-        out: list[Configuration] = []
-        for cand in candidates:
-            out.extend(self._probes_for(cand, next_dim))
-        return out
 
     def _tell(self, config: Configuration, performance: float) -> None:
         self._pending = None

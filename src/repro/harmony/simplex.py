@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -182,52 +182,26 @@ class NelderMeadSimplex:
             cfg = self.constraints.repair(self.space, cfg)
         return cfg
 
-    def speculative_frontier(self, certain_only: bool = False) -> list[Configuration]:
-        """Every configuration the *next* ask() calls could request.
+    def speculative_frontier(self) -> list[Configuration]:
+        """The asks the state machine makes whatever the pending value.
 
-        The returned list is a superset of the asks the state machine can
-        issue before (and immediately after) the pending measurement's
-        value becomes known: the remaining INIT/SHRINK queue entries are
-        value-independent and enumerated in full, and at a branching phase
-        each branch's candidate is computed from the current simplex —
-        reflection targets for every achievable rank of the pending vertex,
-        the expansion point, both contraction points, and the first shrink
-        vertex.  Reading only; the simplex state is not touched, so
-        speculation cannot perturb the serial trajectory.  Callers use the
-        frontier purely as a prefetch hint (a miss costs one cache miss, an
-        unused candidate only wasted warmth).
-
-        With ``certain_only=True`` the frontier is restricted to asks that
-        are *guaranteed* to be issued regardless of the pending value — the
-        unfinished tail of an INIT or SHRINK queue (plus the single
-        deterministic next ask when nothing is pending) — and the result is
-        an ordered forecast: entry *k* is exactly the ask *k* steps ahead.
+        An ordered forecast: entry *k* is exactly the ask *k* steps
+        ahead.  With nothing pending it is the single next ask.  During
+        the INIT or SHRINK vertex sweep it is the unfinished tail of the
+        queue, which is asked regardless of measured values.  At a
+        branching phase (reflect, expand, contract) every next ask
+        depends on the pending value, so it is empty.  Reading only: the
+        simplex state is not touched, so speculation cannot perturb the
+        serial trajectory.
         """
-        return self._dedupe(
-            self._frontier_vectors("certain" if certain_only else "full")
-        )
-
-    def speculative_branch_candidates(self) -> list[Configuration]:
-        """The value-conditional next-ask alternatives worth prefetching.
-
-        The complement of the certain forecast within the frontier, minus
-        the expansion overshoot: rank-variant reflections, both
-        contraction points, the first shrink vertex, and the post-queue
-        reflection hypotheses once an INIT/SHRINK queue's last entry is
-        pending.  All of these stay near or inside the current simplex, so
-        their model solves converge like ordinary points.  The expansion
-        point is excluded deliberately — it is taken rarely (the pending
-        value must beat the best vertex) yet its ``γ``-overshoot clips to
-        the bounds, where the analytic solve converges far slower, making
-        it a net loss to prefetch (measured on the Table 4 partitioned
-        benchmark).  Exactly one of these alternatives (or the expansion)
-        is the next ask; a skipped alternative just solves at the ordinary
-        serial price when committed.
-        """
-        return self._dedupe(self._frontier_vectors("branch"))
-
-    def _dedupe(self, vectors: Sequence[np.ndarray]) -> list[Configuration]:
-        """Map candidate vectors to unique integer configurations."""
+        if self._pending is None:
+            vectors = [self._next_vector()]
+        elif self._phase is _Phase.INIT:
+            vectors = self._init_queue[len(self._vertices) + 1 :]
+        elif self._phase is _Phase.SHRINK:
+            vectors = self._shrink_queue[len(self._shrink_collected) + 1 :]
+        else:
+            vectors = []
         seen: set[Configuration] = set()
         out: list[Configuration] = []
         for vector in vectors:
@@ -236,148 +210,6 @@ class NelderMeadSimplex:
                 seen.add(cfg)
                 out.append(cfg)
         return out
-
-    # -- frontier enumeration (read-only views of the state machine) -----
-    def _reflect_rows(self, rows: Sequence[np.ndarray]) -> np.ndarray:
-        """The reflection ask for a hypothetical sorted simplex ``rows``.
-
-        Replicates ``_next_vector``'s REFLECT arithmetic exactly — same
-        centroid summation order over ``rows[:-1]``, same damping and
-        clipping — so a correctly guessed ordering yields the bit-identical
-        candidate vector.
-        """
-        opt = self.options
-        centroid = np.mean(np.asarray(rows[:-1]), axis=0)
-        target = centroid + opt.alpha * (centroid - rows[-1])
-        return self._clip(self._damp(centroid, target))
-
-    def _insert_reflections(
-        self,
-        kept_sorted: Sequence[np.ndarray],
-        new_vertex: np.ndarray,
-        worst: np.ndarray,
-    ) -> list[np.ndarray]:
-        """Reflections for every rank ``new_vertex`` could sort into.
-
-        The centroid's floating-point sum depends on row order, and the
-        pending value decides where the new vertex ranks — so enumerate all
-        insertion points (duplicate integer configurations collapse later).
-        ``worst`` is the vertex known to rank last regardless.
-        """
-        out = []
-        kept = list(kept_sorted)
-        for rank in range(len(kept) + 1):
-            rows = kept[:rank] + [new_vertex] + kept[rank:] + [worst]
-            out.append(self._reflect_rows(rows))
-        return out
-
-    def _post_insert_reflections(
-        self,
-        known: Sequence[tuple[np.ndarray, float]],
-        pending: np.ndarray,
-    ) -> list[np.ndarray]:
-        """First-reflection candidates once ``pending``'s value arrives.
-
-        Used when the pending tell completes an INIT or SHRINK queue: the
-        next simplex is ``known ∪ {pending}`` sorted by value.  The worst
-        vertex is either ``pending`` (it ranks last) or the known argmax;
-        both hypotheses are expanded over every achievable rank.
-        """
-        values = [v for _, v in known]
-        idx = np.argsort(values, kind="stable")
-        sorted_known = [known[i][0] for i in idx]
-        # Hypothesis A: pending ranks worst (ties sort it last — it is the
-        # most recently absorbed vertex, and the sort is stable).
-        out = [self._reflect_rows(sorted_known + [pending])]
-        # Hypothesis B: the known argmax stays worst; pending ranks anywhere
-        # among the rest.
-        out += self._insert_reflections(
-            sorted_known[:-1], pending, sorted_known[-1]
-        )
-        return out
-
-    def _frontier_vectors(self, mode: str = "full") -> list[np.ndarray]:
-        """Candidate vectors for the next asks.
-
-        ``mode`` selects the slice of the candidate tree: ``"certain"`` —
-        only asks guaranteed regardless of the pending value (queue tails,
-        in ask order); ``"branch"`` — only value-conditional alternatives,
-        minus the expansion (see :meth:`speculative_branch_candidates`);
-        ``"full"`` — everything.
-        """
-        opt = self.options
-        if self._pending is None:
-            # Nothing in flight: the next ask is fully determined.
-            return [] if mode == "branch" else [self._next_vector()]
-        pending = self._pending
-
-        if self._phase is _Phase.INIT:
-            done = len(self._vertices)
-            vectors = [] if mode == "branch" else list(self._init_queue[done + 1 :])
-            if mode != "certain" and done + 1 == len(self._init_queue):
-                known = list(zip(self._vertices, self._values))
-                vectors += self._post_insert_reflections(known, pending)
-            return vectors
-
-        if self._phase is _Phase.SHRINK:
-            j = len(self._shrink_collected)
-            vectors = [] if mode == "branch" else list(self._shrink_queue[j + 1 :])
-            if mode != "certain" and j + 1 == len(self._shrink_queue):
-                known = [(self._vertices[0], self._values[0])]
-                known += list(self._shrink_collected)
-                vectors += self._post_insert_reflections(known, pending)
-            return vectors
-
-        if mode == "certain":
-            # Branch phases: every candidate is conditional on the pending
-            # value, so nothing is certain.
-            return []
-
-        centroid = self._centroid()
-        worst = self._vertices[-1]
-        first_shrink = self._vertices[0] + opt.sigma * (
-            self._vertices[1] - self._vertices[0]
-        )
-
-        if self._phase is _Phase.REFLECT:
-            vectors = []
-            if mode == "full":
-                # value < best → expand (the reflected point is pending).
-                target = centroid + opt.gamma * (pending - centroid)
-                vectors.append(self._clip(self._damp(centroid, target)))
-            # best <= value < second-worst → replace worst, reflect again:
-            # the old second-worst becomes the excluded worst.
-            vectors += self._insert_reflections(
-                self._vertices[:-2], pending, self._vertices[-2]
-            )
-            # second-worst <= value < worst → outside contraction.
-            vectors.append(self._clip(centroid + opt.rho * (pending - centroid)))
-            # value >= worst → inside contraction.
-            vectors.append(self._clip(centroid - opt.rho * (centroid - worst)))
-            return vectors
-
-        if self._phase is _Phase.EXPAND:
-            assert self._reflected is not None
-            # Whichever of {expanded, reflected} wins ranks best; the old
-            # second-worst becomes the excluded worst either way.
-            vectors = []
-            for winner in (pending, self._reflected[0]):
-                rows = [winner] + self._vertices[:-2] + [self._vertices[-2]]
-                vectors.append(self._reflect_rows(rows))
-            return vectors
-
-        if self._phase in (_Phase.CONTRACT_OUT, _Phase.CONTRACT_IN):
-            # Accepted contraction → replace worst, reflect again.  The new
-            # worst is the contraction point itself or the old second-worst.
-            vectors = [self._reflect_rows(self._vertices[:-1] + [pending])]
-            vectors += self._insert_reflections(
-                self._vertices[:-2], pending, self._vertices[-2]
-            )
-            # Rejected contraction → shrink; its first vertex is known now.
-            vectors.append(first_shrink)
-            return vectors
-
-        raise AssertionError(f"unhandled phase {self._phase}")
 
     def tell(self, config: Configuration, value: float) -> None:
         """Report the measured objective for the configuration from ask()."""

@@ -2,32 +2,31 @@
 
 The Adaptation Controller drives the system one measurement at a time
 (paper §II.B), so a tuning session is a serial chain of ``ask → measure →
-tell`` steps that, on its own, can never use the batched solver.  But the
-serial algorithm's *next* asks are enumerable before the pending
-measurement's value is known: the Nelder–Mead state machine can only move
-to its reflection, expansion, contraction or shrink candidates (all
-computable from the current simplex — see
+tell`` steps that, on its own, can never use the batched solver.  Some of
+the serial algorithm's *next* asks are known before the pending
+measurement's value is, though: the rest of a Nelder–Mead INIT or SHRINK
+vertex queue (see
 :meth:`~repro.harmony.simplex.NelderMeadSimplex.speculative_frontier`),
-coordinate descent's probe list is fixed per dimension, and random
-search's next draw is reproducible from a cloned generator.
+the rest of coordinate descent's probe list for one dimension, and
+random search's next draw, reproducible from a cloned generator.  These
+asks are certain: the strategy makes them whatever the pending
+measurement returns.
 
-The :class:`SpeculativeEvaluator` exploits that: once per ``step()`` it
-collects every tuning group's frontier via
+The :class:`SpeculativeEvaluator` uses that certain forecast: once per
+``step()`` it collects every tuning group's forecast via
 :meth:`~repro.harmony.search.SearchStrategy.speculate`, fuses the
-per-group candidate fragments into full cluster configurations (candidate
-for one group, the currently-asked fragment for every other), and warms
-the backend's deterministic solution cache for the whole batch in one
-batched solve (:func:`repro.parallel.frontier.prefetch_frontier`,
-fanned over workers under ``--jobs``).  The serial ask/tell sequence then
-commits exactly the candidate it always would — speculated solves it
-never asks for stay in the cache as wasted warmth, never observable.
+per-group fragments into full cluster configurations, and warms the
+backend's deterministic solution cache for the whole batch in one
+in-process batched solve (``backend.prefetch_configs``).  The serial
+ask/tell sequence then commits exactly the candidate it always would; a
+forecast entry it never reaches (the run ends, or the mix or cluster
+changes first) stays in the cache as wasted warmth, never observable.
 
 Bit-identity is structural, not aspirational: speculation only ever calls
 ``prefetch_configs``, which by contract changes *when* deterministic
 solutions are computed and nothing else.  Strategy state, RNG streams,
 trajectories and reported :class:`~repro.model.base.Measurement`s are
-untouched at every setting; misprediction costs one cache miss, exactly
-the serial price.
+untouched; a misprediction costs one cache miss, exactly the serial price.
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from repro.harmony.parameter import Configuration
 from repro.harmony.scaling import PartitionScheme, TuningScheme
 from repro.harmony.search import SearchStrategy
 from repro.model.base import PerformanceBackend, Scenario, SpeculationStats
-from repro.parallel.executor import ParallelExecutor
-from repro.parallel.frontier import prefetch_frontier
 
 __all__ = ["SpeculativeEvaluator"]
 
@@ -59,25 +56,10 @@ class SpeculativeEvaluator:
         backend: PerformanceBackend,
         scheme: TuningScheme,
         strategies: Mapping[str, SearchStrategy],
-        jobs: int = 1,
-        alternatives: bool = False,
-        engine: Optional[str] = None,
     ) -> None:
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.backend = backend
         self.scheme = scheme
         self.strategies = dict(strategies)
-        self.jobs = jobs
-        # Also prefetch branch *alternatives* (the value-conditional
-        # next-ask candidates).  Off by default: alternatives form small
-        # batches with ~50% waste, and on the analytic backend a small
-        # batch solves barely cheaper per row than the serial price the
-        # miss would have cost — measured net-negative on the Table 4
-        # partitioned benchmark.  The knob exists for backends/models
-        # where a cold evaluation is expensive enough that any prefetch
-        # wins (hit-rate rises to ≈0.99 with it on).
-        self.alternatives = alternatives
         self.stats = SpeculationStats()
         # Previous step's per-group plans, scored against the fragments
         # actually committed on the next step.
@@ -87,12 +69,6 @@ class SpeculativeEvaluator:
         # queue entry re-announced while it waits its turn is one plan,
         # not one per step.
         self._ever: dict[str, set[Configuration]] = {}
-        # Prefetch chunks fan over this executor; under the shared
-        # engine they reach the persistent fleet (and its shared cache)
-        # instead of a throwaway pool.
-        self._executor = (
-            ParallelExecutor(jobs, engine=engine) if jobs > 1 else None
-        )
 
     def reset(self) -> None:
         """Drop the current plan (after a scenario/cluster change).
@@ -124,13 +100,6 @@ class SpeculativeEvaluator:
         (default/duplication) schemes the whole-cluster solution is only
         predictable while *every* group's next ask is, so the zip stops at
         the shortest forecast.
-
-        Each group's branch *alternatives*
-        (:meth:`~repro.harmony.search.SearchStrategy.speculate_alternatives`)
-        are fused one at a time against the current fragments — useful
-        exactly when one fragment's warmth stands on its own, i.e. under
-        per-line caching or with a single group; fused multi-group schemes
-        skip them (a full solve of current-elsewhere would be wasted).
         """
         if self._planned is not None:
             for gid, frag in fragments.items():
@@ -139,21 +108,14 @@ class SpeculativeEvaluator:
                 else:
                     self.stats.misses += 1
 
-        plans: dict[str, list[Configuration]] = {}
-        alts: dict[str, list[Configuration]] = {}
-        fragment_warmth = self.alternatives and (
-            isinstance(self.scheme, PartitionScheme) or len(fragments) == 1
-        )
-        for gid, strategy in self.strategies.items():
-            plans[gid] = strategy.speculate()
-            alts[gid] = strategy.speculate_alternatives() if fragment_warmth else []
+        plans = {
+            gid: strategy.speculate() for gid, strategy in self.strategies.items()
+        }
         planned = 0
         fresh: dict[str, set[Configuration]] = {}
         for gid in sorted(plans):
             ever = self._ever.setdefault(gid, set())
-            fresh[gid] = {
-                c for c in plans[gid] + alts[gid] if c not in ever
-            }
+            fresh[gid] = {c for c in plans[gid] if c not in ever}
             planned += len(fresh[gid])
             ever |= fresh[gid]
 
@@ -172,25 +134,13 @@ class SpeculativeEvaluator:
             # fragment was already speculated is warm from a prior step.
             if any(frags_k[gid] in fresh[gid] for gid in fresh):
                 batch.append(self.scheme.combine(frags_k))
-        for gid in sorted(alts):
-            for cand in alts[gid]:
-                if cand in fresh[gid]:
-                    batch.append(self.scheme.combine({**fragments, gid: cand}))
         self.stats.planned += planned
         self.stats.batched += len(batch)
         try:
-            self.stats.solves += prefetch_frontier(
-                self.backend,
-                scenario,
-                batch,
-                jobs=self.jobs,
-                executor=self._executor,
-            )
+            self.stats.solves += self.backend.prefetch_configs(scenario, batch)
         except Exception:  # repro: noqa[RPL008] - advisory warm-up only
-            # A failed prefetch (a worker dying, a backend fault mid-warm)
-            # costs cache warmth, never correctness: the committed measure
-            # path solves cold exactly what the prefetch would have.
+            # A failed prefetch (a backend fault mid-warm) costs cache
+            # warmth, never correctness: the committed measure path solves
+            # cold exactly what the prefetch would have.
             self.stats.prefetch_failures += 1
-        self._planned = {
-            gid: set(plans[gid]) | set(alts[gid]) for gid in plans
-        }
+        self._planned = {gid: set(plan) for gid, plan in plans.items()}

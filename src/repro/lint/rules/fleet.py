@@ -68,8 +68,6 @@ _BATCH_FUNCTIONS = frozenset(
         "solve_mva_batch",
         "measure_batch",
         "prefetch_configs",
-        "prefetch_frontier",
-        "absorb_solutions",
     }
 )
 

@@ -366,7 +366,7 @@ class AnalyticBackend(PerformanceBackend):
         context, think time)`` — the fully-qualified input of one
         deterministic solve — so one batch may mix (sub-)clusters,
         populations and workloads: a partitioned scenario's work lines,
-        all three Figure-4 workload mixes, a speculative frontier.  Every
+        all three Figure-4 workload mixes, a speculative batch.  Every
         cold solve of the backend comes through here.  Each outer
         iteration submits every still-active task's network as one
         :func:`solve_mva_batch` call, and tasks whose outer fixed point
@@ -675,22 +675,6 @@ class AnalyticBackend(PerformanceBackend):
             Configuration.coerce(configuration).sorted_items(),
         ) + self._mode_tag(scenario.cluster, scenario.population)
 
-    def export_solutions(self) -> list[tuple[tuple, AnalyticSolution]]:
-        """Snapshot of the deterministic-solution memo.
-
-        Worker processes solving a speculative frontier chunk export their
-        (fresh, thus exactly-the-chunk) memo; the parent absorbs it.
-        Solutions are deterministic, so shipping them across processes is
-        bit-safe.
-        """
-        return self.solutions.items()
-
-    def absorb_solutions(
-        self, items: Sequence[tuple[tuple, AnalyticSolution]]
-    ) -> int:
-        """Merge solutions solved elsewhere; returns how many were new."""
-        return self.solutions.absorb(items)
-
     def _solve_cached(
         self,
         scenario: Scenario,
@@ -782,7 +766,7 @@ class AnalyticBackend(PerformanceBackend):
         Each entry is ``(line_id, solution key, sub-cluster, sub-config,
         sub-population)`` in sorted line order.  A line's solve depends only
         on its own sub-configuration, so the solution key is per line —
-        this is what lets speculative frontiers that vary one group's
+        this is what lets speculative batches that vary one group's
         fragment reuse every other line's solution.
         """
         lines = scenario.work_lines
@@ -964,13 +948,13 @@ class AnalyticBackend(PerformanceBackend):
         scenario: Scenario,
         configurations: Sequence[Configuration],
     ) -> int:
-        """Warm the solution memo for a speculative frontier in one batch.
+        """Warm the solution memo for a speculative batch in one solve.
 
-        The deterministic solve needs no seed, so a frontier can be solved
+        The deterministic solve needs no seed, so a forecast can be solved
         before anyone commits to measuring it: later :meth:`measure` calls
         for any of these configurations (under *any* seed) hit the memo.
         Partitioned scenarios decompose into per-line tasks first, so a
-        frontier that varies one group's fragment costs one sub-solve per
+        batch that varies one group's fragment costs one sub-solve per
         *new* fragment, not per full configuration.  Cache probes bypass
         the hit/miss counters (see :meth:`ContentMemo.peek`), and nothing
         here affects measured values — only their latency.  Returns the

@@ -241,8 +241,8 @@ class PerformanceBackend(abc.ABC):
         (the DES backend) ignores the hint, and measurements after a
         prefetch are bit-identical to measurements without one — the only
         effect is that later :meth:`measure` calls may hit a warm cache.
-        The analytic backend overrides this to solve the whole frontier in
-        one MVA batch.
+        The analytic backend overrides this to solve every configuration
+        in one MVA batch.
         """
         return 0
 

@@ -86,8 +86,6 @@ class ClusterTuningSession:
         on_measure_error: str = "raise",
         resilience: Optional[ResiliencePolicy] = None,
         speculate: bool = False,
-        speculate_jobs: int = 1,
-        speculate_engine: Optional[str] = None,
         journal=None,
     ) -> None:
         if on_measure_error not in ("raise", "penalize"):
@@ -131,7 +129,7 @@ class ClusterTuningSession:
 
             self.runner = JournaledRunner(self.runner, journal)
         self.history = TuningHistory()
-        # Speculative lookahead: enumerate each group's possible next asks
+        # Speculative lookahead: forecast each group's certain next asks
         # and warm the backend's deterministic caches in one batch per
         # step.  Purely a prefetch — the ask/tell sequence, RNG streams
         # and measurements are bit-identical with it on or off.
@@ -144,8 +142,6 @@ class ClusterTuningSession:
                     g.group_id: self.server.sessions[g.group_id].strategy
                     for g in self.scheme.groups
                 },
-                jobs=speculate_jobs,
-                engine=speculate_engine,
             )
 
     def _align_scenario(self, scenario: Scenario) -> Scenario:
@@ -259,8 +255,8 @@ class ClusterTuningSession:
             return self._penalize(full)
         if self.speculator is not None and not self._replaying():
             # Warm the deterministic caches for this step's configuration
-            # plus every candidate the strategies could ask next, in one
-            # fused batch.  Prefetching never changes measured values.
+            # plus the strategies' certain next asks, in one fused batch.
+            # Prefetching never changes measured values.
             # (During journal replay nothing is measured, so warming would
             # only waste the solves the journal exists to avoid.)
             self.speculator.prefetch(self.scenario, fragments)

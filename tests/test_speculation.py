@@ -4,10 +4,8 @@ The contract under test (see :mod:`repro.harmony.speculate`) is that
 speculation changes *when* deterministic solutions are computed and
 nothing else: every trajectory — configurations and performances — must
 compare exactly ``==`` against the serial session at every strategy,
-scheme, backend and jobs setting.  No tolerances anywhere in this file.
+scheme and backend.  No tolerances anywhere in this file.
 """
-
-import inspect
 
 import numpy as np
 import pytest
@@ -17,7 +15,6 @@ from repro.des.backend import SimulationBackend
 from repro.harmony.speculate import SpeculativeEvaluator
 from repro.model.analytic import APPROXIMATIONS, AnalyticBackend
 from repro.model.base import MemoizedBackend, Scenario
-from repro.parallel import frontier
 from repro.tpcw.interactions import SHOPPING_MIX
 from repro.tuning.session import ClusterTuningSession, make_scheme
 from repro.util.rng import derive_seed
@@ -46,8 +43,6 @@ def _run_pair(
     strategy: str,
     iterations: int,
     make_base_backend,
-    jobs: int = 1,
-    alternatives: bool = False,
 ):
     """Serial and speculative trajectories for one (method, strategy)."""
     results = {}
@@ -59,10 +54,7 @@ def _run_pair(
             strategy=strategy,
             seed=derive_seed(17, "spec-test", method, strategy),
             speculate=speculate,
-            speculate_jobs=jobs if speculate else 1,
         )
-        if speculate and alternatives:
-            session.speculator.alternatives = True
         results[speculate] = (_trajectory(session, iterations), session)
     return results
 
@@ -82,23 +74,6 @@ class TestBitIdentity:
         assert spec.speculation_stats is not None
         assert serial.speculation_stats is None
 
-    @pytest.mark.parametrize("method", ("default", "partitioning"))
-    def test_analytic_jobs_2(self, method):
-        """--jobs fans prefetches over workers; results must not move."""
-        results = _run_pair(
-            _scenario(), method, "simplex", 14, AnalyticBackend, jobs=2
-        )
-        assert results[True][0] == results[False][0]
-
-    @pytest.mark.parametrize("method", ("partitioning", "default"))
-    def test_analytic_alternatives(self, method):
-        """The alternatives knob prefetches more, still bit-identical."""
-        results = _run_pair(
-            _scenario(), method, "simplex", 14, AnalyticBackend,
-            alternatives=True,
-        )
-        assert results[True][0] == results[False][0]
-
     @pytest.mark.parametrize("strategy", ("simplex", "random"))
     def test_des_backend(self, strategy):
         """Speculation must not perturb the DES backend's RNG streams."""
@@ -114,11 +89,11 @@ class TestBitIdentity:
         assert results[True][0] == results[False][0]
 
 
-class TestFleetPrefetch:
-    """Worker chunks must solve under the keys the parent looks up."""
+class TestPrefetchKeys:
+    """Prefetched solutions must sit under the keys measurements look up."""
 
     @pytest.mark.parametrize("approximation", APPROXIMATIONS)
-    def test_jobs_2_prefetch_is_hit_by_the_parent(self, approximation):
+    def test_prefetch_is_hit_by_measure_batch(self, approximation):
         scenario = Scenario(
             cluster=ClusterSpec.three_tier(1, 1, 1),
             mix=SHOPPING_MIX,
@@ -132,16 +107,10 @@ class TestFleetPrefetch:
             for i in range(4)
         ]
         backend = AnalyticBackend(approximation=approximation)
-        assert frontier.prefetch_frontier(backend, scenario, configs, jobs=2) == 4
+        assert backend.prefetch_configs(scenario, configs) == 4
         backend.measure_batch(scenario, [(cfg, 0) for cfg in configs])
         stats = backend.solution_cache_stats
         assert (stats.hits, stats.misses) == (4, 0)
-
-    def test_chunks_get_every_solver_setting(self):
-        parameters = set(inspect.signature(AnalyticBackend).parameters)
-        # The noise model never reaches a prefetch, and the store is a
-        # cache level, not a solver setting.
-        assert set(frontier._SOLVER_SETTINGS) == parameters - {"noise", "store"}
 
 
 class TestWasteAccounting:
