@@ -44,7 +44,7 @@ EXPERIMENTS = (
 FANOUT_EXPERIMENTS = frozenset({"fig4", "table4", "sensitivity", "scale"})
 
 
-def _add_durability_arguments(parser: argparse.ArgumentParser) -> None:
+def _add_journal_arguments(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--journal", metavar="FILE",
@@ -62,34 +62,6 @@ def _add_durability_arguments(parser: argparse.ArgumentParser) -> None:
             "continues, bit-identical to an uninterrupted one"
         ),
     )
-    parser.add_argument(
-        "--store-path", metavar="DIR",
-        help=(
-            "durable store directory (checksummed atomic segments): "
-            "the --engine shared cache survives process death; corrupt "
-            "entries are quarantined, never served"
-        ),
-    )
-    parser.add_argument(
-        "--engine-faults", metavar="PLAN.json",
-        help=(
-            "inject engine-layer faults from an EngineFaultPlan JSON file "
-            "(worker kills, fleet build failures, slow workers, torn "
-            "store writes; see docs/robustness.md)"
-        ),
-    )
-
-
-def _apply_durability(args: argparse.Namespace) -> None:
-    """Install the process-wide durability/fault options, if given."""
-    if getattr(args, "store_path", None):
-        from repro.parallel.engine import SharedEngine
-
-        SharedEngine.configure(store_path=args.store_path)
-    if getattr(args, "engine_faults", None):
-        from repro.faults.engine import EngineFaultPlan, install_engine_faults
-
-        install_engine_faults(EngineFaultPlan.load(args.engine_faults))
 
 
 def _add_sanitize_argument(parser: argparse.ArgumentParser) -> None:
@@ -205,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
             "(retry + backoff + quarantine) instead of raising"
         ),
     )
-    _add_durability_arguments(p)
+    _add_journal_arguments(p)
     _add_sanitize_argument(p)
 
     p = sub.add_parser("sensitivity", help="one-at-a-time parameter sweeps")
@@ -275,7 +247,23 @@ def build_parser() -> argparse.ArgumentParser:
             "resilient arm (--no-resilience degrades it to penalty-only)"
         ),
     )
-    _add_durability_arguments(p)
+    _add_journal_arguments(p)
+    p.add_argument(
+        "--store-path", metavar="DIR",
+        help=(
+            "durable store directory (checksummed atomic segments): "
+            "the --engine shared cache survives process death; corrupt "
+            "entries are quarantined, never served"
+        ),
+    )
+    p.add_argument(
+        "--engine-faults", metavar="PLAN.json",
+        help=(
+            "inject engine-layer faults from an EngineFaultPlan JSON file "
+            "(worker kills, fleet build failures, slow workers, torn "
+            "store writes; see docs/robustness.md)"
+        ),
+    )
     _add_sanitize_argument(p)
 
     p = sub.add_parser(
@@ -362,7 +350,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.util.serialization import save_configuration, save_history
 
     scenario = _scenario(args)
-    _apply_durability(args)
     backend = AnalyticBackend(approximation=args.approximation)
     resilience = None
     plan = None
@@ -466,7 +453,14 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     from repro.experiments import ExperimentConfig
     from repro.parallel import resolve_jobs
 
-    _apply_durability(args)
+    if args.store_path:
+        from repro.parallel.engine import SharedEngine
+
+        SharedEngine.configure(store_path=args.store_path)
+    if args.engine_faults:
+        from repro.faults.engine import EngineFaultPlan, install_engine_faults
+
+        install_engine_faults(EngineFaultPlan.load(args.engine_faults))
     if (args.journal or args.resume) and args.name not in FANOUT_EXPERIMENTS:
         print(
             f"repro: error: --journal/--resume support the fan-out "

@@ -25,6 +25,19 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize(
+        "option",
+        [["--store-path", "store"], ["--engine-faults", "plan.json"],
+         ["--jobs", "2"], ["--engine", "inline"]],
+        ids=lambda option: option[0],
+    )
+    def test_engine_options_are_experiment_only(self, option, capsys):
+        # tune measures in-process and never reaches the shared engine.
+        build_parser().parse_args(["experiment", "fig4", *option])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["tune", *option])
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestBaseline:
     def test_prints_wips(self, capsys):
