@@ -72,6 +72,12 @@ INITIAL_STEP = 0.5
 MIN_STEP = 0.01
 TOL = 2e-4
 
+#: ``approximation="auto"`` solves fluid from this population up and
+#: aggregates replica groups from this many cluster nodes up; both sit
+#: above every paper scenario.
+FLUID_POPULATION_THRESHOLD = 50_000
+HIERARCHY_NODE_THRESHOLD = 16
+
 #: Valid values of :class:`AnalyticBackend`'s ``approximation`` knob.
 #:
 #: - ``"exact"``       — per-node Schweitzer AMVA, the pre-scale-axis
@@ -81,8 +87,9 @@ TOL = 2e-4
 #: - ``"hierarchical"`` — one representative station per homogeneous
 #:   replica group (:mod:`repro.model.hierarchy`), Schweitzer solve;
 #: - ``"fluid+hierarchical"`` — both: tier aggregation and fluid rows;
-#: - ``"auto"``        — fluid above ``fluid_population_threshold``,
-#:   hierarchical at or above ``hierarchy_node_threshold`` nodes.
+#: - ``"auto"``        — fluid at or above
+#:   :data:`FLUID_POPULATION_THRESHOLD`, hierarchical at or above
+#:   :data:`HIERARCHY_NODE_THRESHOLD` nodes.
 APPROXIMATIONS = (
     "auto",
     "exact",
@@ -280,8 +287,6 @@ class AnalyticBackend(PerformanceBackend):
         memory: Optional[MemoryModel] = None,
         solution_cache_size: int = 4096,
         approximation: str = "auto",
-        fluid_population_threshold: int = 50_000,
-        hierarchy_node_threshold: int = 16,
     ) -> None:
         if solution_cache_size < 0:
             raise ValueError("solution_cache_size must be >= 0 (0 disables)")
@@ -290,13 +295,7 @@ class AnalyticBackend(PerformanceBackend):
                 f"unknown approximation {approximation!r}; expected one of "
                 f"{APPROXIMATIONS}"
             )
-        if fluid_population_threshold < 1:
-            raise ValueError("fluid_population_threshold must be >= 1")
-        if hierarchy_node_threshold < 1:
-            raise ValueError("hierarchy_node_threshold must be >= 1")
         self.approximation = approximation
-        self.fluid_population_threshold = fluid_population_threshold
-        self.hierarchy_node_threshold = hierarchy_node_threshold
         self.noise = noise if noise is not None else NoiseModel()
         self.memory = memory or MemoryModel()
         self.solution_cache_size = solution_cache_size
@@ -325,18 +324,18 @@ class AnalyticBackend(PerformanceBackend):
 
         Returns ``(use_fluid, use_hierarchical)``.  ``"auto"`` engages
         the fluid solver once the population reaches
-        ``fluid_population_threshold`` (below it Schweitzer is more
+        :data:`FLUID_POPULATION_THRESHOLD` (below it Schweitzer is more
         accurate; both cost a few Newton steps per network at any N) and
         tier aggregation once the cluster reaches
-        ``hierarchy_node_threshold`` nodes (below it there is nothing
+        :data:`HIERARCHY_NODE_THRESHOLD` nodes (below it there is nothing
         worth collapsing).  ``"exact"`` is Schweitzer on every node at
         any population.
         """
         mode = self.approximation
         if mode == "auto":
             return (
-                population >= self.fluid_population_threshold,
-                cluster.num_nodes >= self.hierarchy_node_threshold,
+                population >= FLUID_POPULATION_THRESHOLD,
+                cluster.num_nodes >= HIERARCHY_NODE_THRESHOLD,
             )
         return "fluid" in mode, "hierarchical" in mode
 
