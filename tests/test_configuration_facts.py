@@ -6,9 +6,10 @@ fast form to the plain computation it replaced: the per-parameter loops
 for ``validate``/``extremeness`` (bit for bit, same messages), the
 literal ``tuple(sorted(...))``/``repr(sorted(...))`` cache keys and
 journal digest, the per-node split of ``aggregation_plan`` and
-``ClusterSpec.node_config``, and the union-built full space.  It also
-checks that a pickled configuration hashes like a fresh one in another
-interpreter.
+``ClusterSpec.node_config``, the union-built full space, and a plain
+``Configuration`` of what ``DuplicationScheme.combine`` builds (facts,
+plans and errors alike).  It also checks that a pickled configuration
+hashes like a fresh one in another interpreter.
 """
 
 from __future__ import annotations
@@ -407,6 +408,107 @@ class TestPlanIdentity:
             )
         with pytest.raises(KeyError, match="unknown node"):
             cluster.node_config(plain, "app99")
+
+
+DUPLICATED_CLUSTERS = pytest.mark.parametrize(
+    "cluster",
+    [ClusterSpec.wide(4, 6, 2), mixed_cluster(), ClusterSpec.three_tier(1, 1, 1)],
+    ids=["4x6x2", "mixed", "1x1x1"],
+)
+
+
+def duplicated(cluster: ClusterSpec, seed: int):
+    """A duplication scheme of ``cluster``, its group and a random fragment."""
+    scheme = DuplicationScheme(cluster.full_space(), cluster.tiers())
+    (group,) = scheme.groups
+    fragment = group.space.random_configuration(np.random.default_rng(seed))
+    return scheme, group, fragment
+
+
+def nested_expansion(group: TuningGroup, fragment) -> dict:
+    """Every full name with its tuned value, tuned name by tuned name."""
+    return {
+        full: fragment[tuned]
+        for tuned in group.space.names
+        for full in group.expansion[tuned]
+    }
+
+
+class TestDuplicatedConfiguration:
+    """A duplication combine builds what a plain ``Configuration`` would."""
+
+    @DUPLICATED_CLUSTERS
+    @pytest.mark.parametrize("seed", [5, 6])
+    def test_facts_match_a_plain_configuration(self, cluster, seed):
+        scheme, _, fragment = duplicated(cluster, seed)
+        full = scheme.combine({"duplication": fragment})
+        plain = Configuration(dict(full))
+        assert full == plain
+        assert list(full.items()) == list(plain.items())
+        assert full.sorted_items() == plain.sorted_items()
+        assert hash(full) == hash(plain)
+        assert dict(full.node_slices()) == dict(plain.node_slices())
+        plan = aggregation_plan(cluster, full)
+        assert plan.groups == head_plan(cluster, full)
+        assert plan == aggregation_plan(cluster, plain)
+        for node_id in cluster.node_ids:
+            assert cluster.node_config(full, node_id) == cluster.node_config(
+                plain, node_id
+            )
+        loaded = pickle.loads(pickle.dumps(full))
+        assert loaded == full and hash(loaded) == hash(full)
+        assert loaded.sorted_items() == full.sorted_items()
+        assert dict(loaded.node_slices()) == dict(full.node_slices())
+
+    @DUPLICATED_CLUSTERS
+    def test_default_fragment_gives_the_default_configuration(self, cluster):
+        scheme, group, _ = duplicated(cluster, 0)
+        full = scheme.combine({"duplication": group.space.default_configuration()})
+        assert full.sorted_items() == cluster.default_configuration().sorted_items()
+
+    @DUPLICATED_CLUSTERS
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            lambda p: p.high + p.step,
+            lambda p: p.low - 1,
+            lambda p: p.low + 0.5,
+            lambda p: "5",
+        ],
+        ids=["above", "below", "fraction", "string"],
+    )
+    def test_illegal_fragment_fails_like_the_full_check(self, cluster, bad):
+        scheme, group, fragment = duplicated(cluster, 9)
+        for param in group.space.parameters[::5]:
+            values = {**fragment, param.name: bad(param)}
+            expected = outcome(
+                loop_validate, scheme.full_space, nested_expansion(group, values)
+            )
+            assert expected[0] != "ok"
+            assert outcome(scheme.combine, {"duplication": values}) == expected
+
+    def test_illegal_value_names_the_first_full_name(self):
+        scheme, _, fragment = duplicated(ClusterSpec.wide(4, 6, 2), 9)
+        values = {**fragment, "app.acceptCount": 10_000, "db.thread_con": 0}
+        with pytest.raises(ValueError) as err:
+            scheme.combine({"duplication": values})
+        assert str(err.value) == (
+            "app0.acceptCount=10000 is not legal (range [5, 1024], step 1)"
+        )
+
+    @DUPLICATED_CLUSTERS
+    def test_missing_tuned_name_raises_key_error(self, cluster):
+        scheme, group, fragment = duplicated(cluster, 4)
+        for name in group.space.names[::4]:
+            values = {k: v for k, v in fragment.items() if k != name}
+            assert outcome(scheme.combine, {"duplication": values}) == (
+                KeyError,
+                repr(name),
+            )
+        assert outcome(scheme.combine, {}) == (
+            KeyError,
+            repr("missing fragment for group 'duplication'"),
+        )
 
 
 class TestSpaceAndExpansion:
