@@ -156,10 +156,22 @@ class ClusterSpec:
         configuration slice (see
         :func:`repro.model.hierarchy.aggregation_plan`).
         """
-        groups: dict[tuple, list[str]] = {}
-        for p in self._placements:
-            groups.setdefault((p.role.value, p.spec), []).append(p.node_id)
-        return {members[0]: members for members in groups.values()}
+        return {members[0]: list(members) for members in self.replica_members()}
+
+    def replica_members(self) -> tuple[tuple[str, ...], ...]:
+        """:meth:`replica_groups`' member tuples, in representative order.
+
+        Computed once: the layout is immutable, and
+        :func:`~repro.model.hierarchy.aggregation_plan` reads the groups
+        for every configuration it plans.
+        """
+        cached = getattr(self, "_replica_members", None)
+        if cached is None:
+            groups: dict[tuple, list[str]] = {}
+            for p in self._placements:
+                groups.setdefault((p.role.value, p.spec), []).append(p.node_id)
+            cached = self._replica_members = tuple(map(tuple, groups.values()))
+        return cached
 
     # -- parameter space -------------------------------------------------------
     def full_space(self) -> ParameterSpace:

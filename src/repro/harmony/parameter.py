@@ -129,18 +129,44 @@ class Configuration(Mapping[str, int]):
 
     Facts derived from the whole configuration are computed once: the
     sorted items (which also give the hash) at construction, the per-node
-    slices on first use.  Pickling carries the values alone, so the
-    receiver recomputes the hash under its own string-hash seed.
+    slices on first use, unless the builder hands them over (a
+    duplication combine knows them per tier; see
+    :class:`~repro.harmony.scaling.DuplicationScheme`).  Pickling carries
+    the values alone, so the receiver recomputes the hash under its own
+    string-hash seed, and the slices on first use.
     """
 
     __slots__ = ("_values", "_items", "_hash", "_slices")
 
     def __init__(self, values: Mapping[str, int]) -> None:
-        object.__setattr__(self, "_values", dict(values))
-        items = tuple(sorted(self._values.items()))
+        values = dict(values)
+        self._set(values, tuple(sorted(values.items())), None)
+
+    def _set(
+        self,
+        values: dict[str, int],
+        items: tuple[tuple[str, int], ...],
+        slices: Optional[Mapping[str, tuple[tuple[str, int], ...]]],
+    ) -> None:
+        object.__setattr__(self, "_values", values)
         object.__setattr__(self, "_items", items)
         object.__setattr__(self, "_hash", hash(items))
-        object.__setattr__(self, "_slices", None)
+        object.__setattr__(self, "_slices", slices)
+
+    @classmethod
+    def _from_sorted(
+        cls,
+        items: tuple[tuple[str, int], ...],
+        slices: Mapping[str, tuple[tuple[str, int], ...]],
+    ) -> "Configuration":
+        """A configuration of ``items``, which must already be sorted.
+
+        ``slices`` must equal what :meth:`node_slices` would compute from
+        them.  Neither is checked: the caller built both from one layout.
+        """
+        config = cls.__new__(cls)
+        config._set(dict(items), items, slices)
+        return config
 
     @classmethod
     def coerce(cls, values: Mapping[str, int]) -> "Configuration":
@@ -154,9 +180,9 @@ class Configuration(Mapping[str, int]):
     def node_slices(self) -> Mapping[str, tuple[tuple[str, int], ...]]:
         """Node id → that node's ``(param, value)`` pairs, sorted by param.
 
-        Splits every ``"<node>.<param>"`` name once, on first use; names
-        without a dot belong to no node.  Replicas with equal slices share
-        one tuple.
+        Splits every ``"<node>.<param>"`` name once, on first use, unless
+        the builder handed the slices over; names without a dot belong to
+        no node.  Replicas with equal slices share one tuple.
         """
         slices = self._slices
         if slices is None:
@@ -277,14 +303,30 @@ class _Bounds:
         if not self.exact:
             return None
         source = config._values if isinstance(config, Configuration) else config
-        values = list(map(source.__getitem__, self.names))
-        if not _PLAIN_TYPES.issuperset(map(type, values)):
+        return self.array(list(map(source.__getitem__, self.names)))
+
+    def array(self, values: list) -> Optional[np.ndarray]:
+        """``values`` (in space order) as exact float64, or None."""
+        if not self.exact or not _PLAIN_TYPES.issuperset(map(type, values)):
             return None
         try:
             array = np.array(values, dtype=np.float64)
         except OverflowError:
             return None
         return array if (np.abs(array) < _EXACT).all() else None
+
+    def legal(self, values: np.ndarray) -> bool:
+        """True when every exact value is on its grid and within bounds."""
+        if not (values == np.trunc(values)).all():
+            return False
+        ints = values.astype(np.int64)
+        return bool(
+            (
+                (ints >= self.low)
+                & (ints <= self.high)
+                & ((ints - self.low) % self.step == 0)
+            ).all()
+        )
 
 
 class ParameterSpace:
@@ -381,15 +423,8 @@ class ParameterSpace:
             )
         bounds = self._vector_bounds()
         values = bounds.values(config)
-        if values is not None and (values == np.trunc(values)).all():
-            ints = values.astype(np.int64)
-            legal = (
-                (ints >= bounds.low)
-                & (ints <= bounds.high)
-                & ((ints - bounds.low) % bounds.step == 0)
-            )
-            if legal.all():
-                return
+        if values is not None and bounds.legal(values):
+            return
         # Anything the fast path does not accept is judged, and reported,
         # one parameter at a time.
         for p in self._params:
@@ -398,6 +433,23 @@ class ParameterSpace:
                     f"{p.name}={config[p.name]} is not legal "
                     f"(range [{p.low}, {p.high}], step {p.step})"
                 )
+
+    def all_legal(self, values: list) -> bool:
+        """True when ``values``, in space order, are all legal plain numbers.
+
+        The array half of :meth:`validate`, for values already extracted.
+        False when some value is illegal, and also when the bounds or a
+        value fall outside what the array check trusts (an odd type, a
+        magnitude of 2**53 or more); :meth:`validate` then gives the
+        verdict, and the message.
+        """
+        if len(values) != len(self._params):
+            raise ValueError(
+                f"{len(values)} values for {len(self._params)} parameters"
+            )
+        bounds = self._vector_bounds()
+        array = bounds.array(values)
+        return array is not None and bounds.legal(array)
 
     def clamp(self, config: Mapping[str, int | float]) -> Configuration:
         """Project arbitrary values to the nearest legal configuration."""

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from repro.harmony.constraints import ConstraintSet, OrderingConstraint
@@ -43,6 +44,16 @@ def split_name(full_name: str) -> tuple[str, str]:
     if not sep or not node or not param:
         raise ValueError(f"expected '<node>.<param>', got {full_name!r}")
     return node, param
+
+
+def _fragment_of(
+    fragments: Mapping[str, Mapping[str, int]], group: "TuningGroup"
+) -> Mapping[str, int]:
+    """``group``'s fragment, or the ``KeyError`` naming the group."""
+    try:
+        return fragments[group.group_id]
+    except KeyError:
+        raise KeyError(f"missing fragment for group {group.group_id!r}") from None
 
 
 @dataclass(frozen=True)
@@ -128,14 +139,18 @@ class TuningScheme:
         return max(g.space.dimension for g in self.groups)
 
     def combine(self, fragments: Mapping[str, Mapping[str, int]]) -> Configuration:
-        """Group-id → tuned-config fragments → one full configuration."""
+        """Group-id → tuned-config fragments → one full configuration.
+
+        Every scheme combines through here; one that can build its
+        configurations faster overrides :meth:`_build`.
+        """
+        return self._build(fragments)
+
+    def _build(self, fragments: Mapping[str, Mapping[str, int]]) -> Configuration:
+        """Merge every group's expansion, then validate the whole."""
         merged: dict[str, int] = {}
         for group in self.groups:
-            try:
-                fragment = fragments[group.group_id]
-            except KeyError:
-                raise KeyError(f"missing fragment for group {group.group_id!r}") from None
-            merged.update(group.expand(fragment))
+            merged.update(group.expand(_fragment_of(fragments, group)))
         full = Configuration(merged)
         self.full_space.validate(full)
         return full
@@ -161,7 +176,14 @@ class DuplicationScheme(TuningScheme):
 
     ``tiers`` maps a tier name to the node ids in it; the first node listed
     is the representative.  The tuned space has names ``"<tier>.<param>"``
-    and each value is duplicated to every node of the tier.
+    and each value is duplicated to every node of the tier.  Every member
+    must have each of the representative's parameters, under the same
+    bounds.
+
+    The scheme lays each tier out once, so a combine never treats the
+    full configuration name by name: it checks the tuned values, copies
+    them along the sorted full-name order, and hands the configuration
+    its node slices, one shared tuple per tier.
     """
 
     def __init__(
@@ -185,10 +207,14 @@ class DuplicationScheme(TuningScheme):
         groups = []
         tuned_params: list[IntParameter] = []
         expansion: dict[str, tuple[str, ...]] = {}
+        # Per tier: the representative's (param, tuned name) pairs and the
+        # members, laid out for the build below.
+        tier_layout: list[tuple[list[tuple[str, str]], tuple[str, ...]]] = []
         for tier_name, nodes in tiers.items():
             if not nodes:
                 raise ValueError(f"tier {tier_name!r} has no nodes")
             rep = nodes[0]
+            pairs = []
             for full_name in by_node.get(rep, []):
                 _, param_name = split_name(full_name)
                 base = full_space[full_name]
@@ -202,6 +228,7 @@ class DuplicationScheme(TuningScheme):
                         step=base.step,
                     )
                 )
+                bounds = (base.low, base.high, base.step)
                 targets = []
                 for node in nodes:
                     target = f"{node}.{param_name}"
@@ -210,8 +237,19 @@ class DuplicationScheme(TuningScheme):
                             f"tier {tier_name!r} is not homogeneous: "
                             f"{target!r} missing from the full space"
                         )
+                    member = full_space[target]
+                    if (member.low, member.high, member.step) != bounds:
+                        raise ValueError(
+                            f"tier {tier_name!r} is not homogeneous: "
+                            f"{target!r} has range [{member.low}, "
+                            f"{member.high}], step {member.step}; "
+                            f"{full_name!r} has [{base.low}, {base.high}], "
+                            f"step {base.step}"
+                        )
                     targets.append(target)
                 expansion[tuned_name] = tuple(targets)
+                pairs.append((param_name, tuned_name))
+            tier_layout.append((sorted(pairs), tuple(nodes)))
         tuned_space = ParameterSpace(tuned_params)
         # Node-level constraints lift to the tier level: a constraint on the
         # representative node becomes one on the shared tier parameters.
@@ -242,6 +280,65 @@ class DuplicationScheme(TuningScheme):
             )
         )
         super().__init__(full_space, groups)
+        self._lay_out(tier_layout)
+
+    def _lay_out(
+        self, tier_layout: Sequence[tuple[list[tuple[str, str]], tuple[str, ...]]]
+    ) -> None:
+        """Index the build by position in the fragment's value list.
+
+        Every tier has a member, so every tuned name expands to some full
+        name and the group's tuned names are its space's, in order.
+        """
+        (group,) = self.groups
+        position = {name: i for i, name in enumerate(group._tuned)}
+        self._fulls = group._fulls
+        self._sources = tuple(map(position.__getitem__, group._sources))
+        #: Per tier: its slice's parameter names and value positions.
+        self._tier_slices = tuple(
+            (
+                tuple(param for param, _ in pairs),
+                tuple(position[tuned] for _, tuned in pairs),
+            )
+            for pairs, _ in tier_layout
+        )
+        # Nodes in the order node_slices() finds them in the sorted full
+        # names (a tier without parameters has none), each with its tier.
+        tier_of = {
+            node: index
+            for index, (_, members) in enumerate(tier_layout)
+            for node in members
+        }
+        nodes = dict.fromkeys(full.partition(".")[0] for full in self._fulls)
+        self._slice_nodes = tuple(nodes)
+        self._slice_tiers = tuple(map(tier_of.__getitem__, nodes))
+
+    def _build(self, fragments: Mapping[str, Mapping[str, int]]) -> Configuration:
+        """The full configuration, built from the tier layout.
+
+        Each full value is a copy of a tuned value under the same bounds,
+        so the fragment's legality in the tuned space is the full
+        configuration's.  A fragment the array check does not pass takes
+        the generic path, which gives the full check's verdict and error.
+        """
+        (group,) = self.groups
+        fragment = _fragment_of(fragments, group)
+        values = list(map(fragment.__getitem__, group._tuned))
+        if not group.space.all_legal(values):
+            return super()._build(fragments)
+        items = tuple(zip(self._fulls, map(values.__getitem__, self._sources)))
+        shared: dict[tuple, tuple] = {}
+        tier_slices = [
+            shared.setdefault(pairs, pairs)
+            for pairs in (
+                tuple(zip(params, map(values.__getitem__, where)))
+                for params, where in self._tier_slices
+            )
+        ]
+        slices = dict(
+            zip(self._slice_nodes, map(tier_slices.__getitem__, self._slice_tiers))
+        )
+        return Configuration._from_sorted(items, MappingProxyType(slices))
 
 
 class PartitionScheme(TuningScheme):

@@ -80,14 +80,18 @@ class SpeculativeEvaluator:
         self._ever = {}
 
     def prefetch(
-        self, scenario: Scenario, fragments: Mapping[str, Configuration]
+        self,
+        scenario: Scenario,
+        fragments: Mapping[str, Configuration],
+        full: Configuration,
     ) -> None:
         """One step's speculation: score the last plan, warm the next.
 
         ``fragments`` are the per-group configurations the session just
-        fetched (the asks about to be measured).  The submitted batch
-        always includes the fused *current* configuration, so this step's
-        own solve rides the same batch as the lookahead.
+        fetched (the asks about to be measured), and ``full`` is the
+        session's combination of them.  The submitted batch always leads
+        with ``full``, so this step's own solve rides the same batch as
+        the lookahead.
 
         The session asks every group once per step, so each group's
         :meth:`~repro.harmony.search.SearchStrategy.speculate` forecast is
@@ -123,8 +127,7 @@ class SpeculativeEvaluator:
             depth = max((len(p) for p in plans.values()), default=0)
         else:
             depth = min((len(p) for p in plans.values()), default=0)
-        fragments = dict(fragments)
-        batch = [self.scheme.combine(fragments)]
+        batch = [full]
         for k in range(depth):
             frags_k = {
                 gid: plans[gid][k] if k < len(plans[gid]) else fragments[gid]

@@ -73,21 +73,29 @@ def aggregation_plan(
     """Group ``cluster``'s nodes into aggregable replica groups.
 
     Two nodes share a group iff they have the same role, the same
-    hardware spec, and identical configuration slices.  The slices are
-    :meth:`Configuration.node_slices`, sorted by parameter name so the
-    grouping is independent of mapping iteration order.  Splitting them
-    costs one pass over the configuration, paid once per configuration
-    and shared with :meth:`ClusterSpec.node_config`; grouping then hashes
-    one ``(role, spec, slice)`` key per node.  A plain mapping is first
-    turned into a :class:`Configuration`, which sorts it.
+    hardware spec, and identical configuration slices.  The cluster's
+    cached :meth:`~ClusterSpec.replica_members` supply the first two; each
+    is split by the members' :meth:`Configuration.node_slices`, sorted by
+    parameter name so the grouping is independent of mapping iteration
+    order.  Groups are ordered by their representative's placement.
+
+    The slices are split once per configuration, on first use, and
+    shared with :meth:`ClusterSpec.node_config`; a configuration built by
+    a duplication combine arrives with them, one shared tuple per tier.
+    A plain mapping is first turned into a :class:`Configuration`, which
+    sorts it.
     """
     slices = Configuration.coerce(configuration).node_slices()
-    groups: dict[tuple, list[str]] = {}
-    for p in cluster.placements:
-        key = (p.role.value, p.spec, slices.get(p.node_id, ()))
-        groups.setdefault(key, []).append(p.node_id)
-    return AggregationPlan(
-        groups=tuple(
-            (members[0], tuple(members)) for members in groups.values()
-        )
-    )
+    groups: list[tuple[str, ...]] = []
+    split = False
+    for members in cluster.replica_members():
+        by_slice: dict[tuple, list[str]] = {}
+        for node_id in members:
+            by_slice.setdefault(slices.get(node_id, ()), []).append(node_id)
+        split = split or len(by_slice) > 1
+        groups.extend(map(tuple, by_slice.values()))
+    if split:
+        # A split group's later parts belong after other representatives.
+        rank = {node_id: i for i, node_id in enumerate(cluster.node_ids)}
+        groups.sort(key=lambda members: rank[members[0]])
+    return AggregationPlan(groups=tuple((members[0], members) for members in groups))

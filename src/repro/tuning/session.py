@@ -259,7 +259,7 @@ class ClusterTuningSession:
             # Prefetching never changes measured values.
             # (During journal replay nothing is measured, so warming would
             # only waste the solves the journal exists to avoid.)
-            self.speculator.prefetch(self.scenario, fragments)
+            self.speculator.prefetch(self.scenario, fragments, full)
         attempt = 0
         while True:
             try:

@@ -410,6 +410,43 @@ class TestPlanIdentity:
             cluster.node_config(plain, "app99")
 
 
+class TestPlanOrder:
+    """Replica groups split by slice keep the per-placement plan's order."""
+
+    def test_split_group_interleaves_with_other_specs(self):
+        cluster = mixed_cluster()
+        config = cluster.default_configuration().replace(**{"app2.acceptCount": 11})
+        plan = aggregation_plan(cluster, config)
+        assert plan.groups == head_plan(cluster, config)
+        assert [rep for rep, _ in plan.groups] == [
+            "proxy0", "app0", "app1", "app2", "db0",
+        ]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_interleaved_roles_specs_and_slices(self, seed):
+        rng = np.random.default_rng(seed)
+        roles = list(Role) + list(rng.choice(list(Role), size=21))
+        rng.shuffle(roles)
+        cluster = ClusterSpec(
+            [
+                NodePlacement(f"n{i}", role, FAST if rng.random() < 0.3 else NodeSpec())
+                for i, role in enumerate(roles)
+            ]
+        )
+        space = cluster.full_space()
+        default = space.default_configuration()
+        for _ in range(4):
+            # Each node keeps its default slice or takes one other value.
+            moved = {
+                name: default[name] + 1
+                for name in space.names
+                if name.endswith((".cache_mem", ".acceptCount", ".table_cache"))
+                and rng.random() < 0.4
+            }
+            config = default.replace(**moved)
+            assert aggregation_plan(cluster, config).groups == head_plan(cluster, config)
+
+
 DUPLICATED_CLUSTERS = pytest.mark.parametrize(
     "cluster",
     [ClusterSpec.wide(4, 6, 2), mixed_cluster(), ClusterSpec.three_tier(1, 1, 1)],

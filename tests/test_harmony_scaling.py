@@ -133,6 +133,27 @@ class TestDuplicationScheme:
                 ParameterSpace(params), {"proxy": ["p0", "p1"], "app": ["a0"]}
             )
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            {"low": 2, "high": 64, "step": 1},
+            {"low": 4, "high": 32, "step": 1},
+            {"low": 4, "high": 64, "step": 2},
+        ],
+        ids=["low", "high", "step"],
+    )
+    def test_member_with_other_bounds_rejected(self, bounds):
+        params = [
+            IntParameter("p0.size", 8, 4, 64),
+            IntParameter("p1.size", 8, **bounds),
+            IntParameter("a0.size", 8, 4, 64),
+        ]
+        with pytest.raises(ValueError, match="homogeneous") as err:
+            DuplicationScheme(
+                ParameterSpace(params), {"proxy": ["p0", "p1"], "app": ["a0"]}
+            )
+        assert "'p1.size'" in str(err.value)
+
 
 class TestPartitionScheme:
     def _space4(self):

@@ -120,9 +120,9 @@ class TestWasteAccounting:
         per_step = []
         original = SpeculativeEvaluator.prefetch
 
-        def spy(self, scenario, fragments):
+        def spy(self, scenario, fragments, full):
             before = self.stats.planned
-            original(self, scenario, fragments)
+            original(self, scenario, fragments, full)
             frontier = sum(len(p) for p in self._planned.values())
             per_step.append((self.stats.planned - before, frontier))
 
