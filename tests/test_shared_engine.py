@@ -327,3 +327,44 @@ class TestDurableStore:
             first_stats["persist_entries_persisted"]
         )
         assert list(tmp_path.glob("segment-*.seg"))
+
+
+def seeded_measure(seed):
+    """Spec: measure the probe point at ``seed`` through the shared engine."""
+    backend = make_backend(ExperimentConfig(engine="shared"))
+    cluster, scenario = _probe_scenario()
+    return backend.measure(
+        scenario, cluster.default_configuration(), seed=seed
+    ).wips
+
+
+def test_fleet_entries_reach_the_coherence_check(fresh_engine, monkeypatch):
+    # RPL153 runs where a worker's shipped entry meets one the parent
+    # already holds.  The fleet takes its snapshot when plan 1 starts it;
+    # the parent then measures seed 2 itself, so whichever worker runs
+    # plan 3 ships home a key the parent holds, however specs land.
+    from repro.lint import sanitizer
+
+    checked = []
+    check_coherent = sanitizer.check_coherent
+
+    def spy(kind, key, old, new):
+        checked.append(kind)
+        check_coherent(kind, key, old, new)
+
+    monkeypatch.setattr(sanitizer, "check_coherent", spy)
+
+    def run(seed, jobs):
+        plan = [
+            RunSpec(key=(seed, i), fn=seeded_measure, kwargs={"seed": seed})
+            for i in range(jobs)
+        ]
+        results = ParallelExecutor(jobs=jobs, engine="shared").run(plan)
+        return set(results.values())
+
+    with sanitizer.scope() as captured:
+        run(1, jobs=2)
+        serial = run(2, jobs=1)
+        assert run(2, jobs=2) == serial
+    assert "meas absorb" in checked
+    assert captured == []
