@@ -64,18 +64,6 @@ def _add_journal_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_sanitize_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--sanitize", action="store_true",
-        help=(
-            "run with the concurrency sanitizer (equivalent to "
-            "REPRO_SANITIZE=1): record lock orders, held-lock sets and "
-            "cache coherence at runtime; findings are reported after the "
-            "command and force a nonzero exit (see docs/static_analysis.md)"
-        ),
-    )
-
-
 def _jobs_argument(value: str) -> int:
     jobs = int(value)
     if jobs < 0:
@@ -178,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     _add_journal_arguments(p)
-    _add_sanitize_argument(p)
 
     p = sub.add_parser("sensitivity", help="one-at-a-time parameter sweeps")
     _add_scenario_arguments(p)
@@ -264,7 +251,16 @@ def build_parser() -> argparse.ArgumentParser:
             "store writes; see docs/robustness.md)"
         ),
     )
-    _add_sanitize_argument(p)
+    p.add_argument(
+        "--sanitize", action="store_true",
+        help=(
+            "run with the coherence sanitizer (equivalent to "
+            "REPRO_SANITIZE=1): check that memo entries the fleet ships "
+            "home match the ones already held; findings are reported "
+            "after the command and force a nonzero exit (see "
+            "docs/static_analysis.md)"
+        ),
+    )
 
     p = sub.add_parser(
         "validate", help="cross-check the analytic and DES backends"
@@ -308,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--select", metavar="IDS",
         help=(
             "comma-separated rule ids or family prefixes to run "
-            "(e.g. RPL003 or RPL1 for the whole concurrency family; "
+            "(e.g. RPL003 or RPL1 for the whole fleet-hygiene family; "
             "default: all enabled)"
         ),
     )
@@ -681,10 +677,10 @@ _COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    ``--sanitize`` (on the commands that execute measurements) turns on
-    the runtime concurrency sanitizer for the whole command — same as
-    running under ``REPRO_SANITIZE=1`` — then prints any runtime
-    findings through the lint text reporter and forces exit code 1.
+    ``--sanitize`` (on ``experiment``) turns on the runtime coherence
+    sanitizer for the whole command — same as running under
+    ``REPRO_SANITIZE=1`` — then prints any runtime findings through the
+    lint text reporter and forces exit code 1.
     """
     import os
 

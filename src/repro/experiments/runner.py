@@ -112,8 +112,8 @@ def make_backend(config: Optional[ExperimentConfig] = None) -> PerformanceBacken
 
     When the config's engine resolves to ``shared`` the invocation's
     persistent :class:`~repro.parallel.engine.SharedEngine` backend is
-    returned instead of a fresh one: its caches are thread-safe, gain the
-    entries fleet workers compute, and survive across experiments.  (Inside
+    returned instead of a fresh one: its caches gain the entries fleet
+    workers compute and survive across experiments.  (Inside
     a fleet worker this resolves to the worker's own persistent backend —
     the worker engine singleton — so spec functions can call this
     unconditionally.)

@@ -39,7 +39,7 @@ def _matches(rule_id: str, selectors: frozenset[str]) -> bool:
     """Whether ``rule_id`` matches any exact id or family prefix.
 
     Selectors are matched by prefix, so ``RPL1`` selects the whole
-    RPL10x concurrency family and ``RPL107`` selects exactly one rule.
+    RPL10x fleet-hygiene family and ``RPL107`` selects exactly one rule.
     (Every selector is an id prefix by construction — ``RPL107`` is its
     own prefix — so one rule covers both cases.)
     """

@@ -56,9 +56,9 @@ class Finding:
 
     ``phase`` distinguishes how the finding was produced: ``"static"``
     (AST analysis — every RPL0xx/RPL10x rule) or ``"runtime"`` (the
-    concurrency sanitizer, rules RPL151–RPL153, which observes real
-    executions).  It is reporting metadata, excluded from ordering and
-    de-duplication like severity/message.
+    coherence sanitizer, rule RPL153, which observes real executions).
+    It is reporting metadata, excluded from ordering and de-duplication
+    like severity/message.
     """
 
     path: str

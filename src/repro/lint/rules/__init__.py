@@ -11,12 +11,6 @@ from __future__ import annotations
 
 from repro.lint.core import Rule
 from repro.lint.rules.clock import WallClockRule
-from repro.lint.rules.concurrency import (
-    BlockingCallUnderLockRule,
-    LockOrderRule,
-    UnguardedSharedMutationRule,
-    UnlockedLazyInitRule,
-)
 from repro.lint.rules.exceptions import SwallowedExceptionRule
 from repro.lint.rules.fleet import (
     ImportTimeConcurrencyRule,
@@ -33,8 +27,8 @@ from repro.lint.rules.randomness import UnseededRandomRule
 
 __all__ = ["ALL_RULES", "rules_by_id"]
 
-#: Every shipped rule, in id order.  RPL00x: single-threaded determinism
-#: (PR 2); RPL10x: concurrency safety for the shared engine.
+#: Every shipped rule, in id order.  RPL00x: single-threaded determinism;
+#: RPL105–RPL108: hygiene for work that crosses into the process fleet.
 ALL_RULES: tuple[Rule, ...] = (
     UnseededRandomRule(),
     WallClockRule(),
@@ -45,10 +39,6 @@ ALL_RULES: tuple[Rule, ...] = (
     ParameterBoundsRule(),
     SwallowedExceptionRule(),
     NonAtomicResultWriteRule(),
-    UnguardedSharedMutationRule(),
-    UnlockedLazyInitRule(),
-    LockOrderRule(),
-    BlockingCallUnderLockRule(),
     UnpicklablePayloadRule(),
     ImportTimeConcurrencyRule(),
     UnorderedBatchRule(),

@@ -1,9 +1,10 @@
 """RPL105–RPL108 — process-fleet hygiene rules.
 
 The shared engine ships work across a process boundary (RunSpec pickles
-into a persistent fleet, Manager proxies carry cache traffic, batch
-solvers collate by position), so a second family of hazards exists that
-never mattered in-process:
+into a persistent fleet, memo entries travel in worker start-up
+snapshots and back with each result, batch solvers collate by
+position), so a second family of hazards exists that never mattered
+in-process:
 
 * RPL105 — unpicklable payloads (lambdas, local functions, local-class
   instances) *inside* the kwargs/args that travel with submitted work.
@@ -19,10 +20,9 @@ never mattered in-process:
   swallowed with a no-op handler.  A broken pool means a worker died
   mid-task; dropping that error silently loses the task's results.
 
-Like their RPL10x siblings in :mod:`repro.lint.rules.concurrency`, these
-are heuristics: the runtime sanitizer (RPL151–RPL153) covers the dynamic
-half, and deliberate exceptions take ``# repro: noqa[RPL10x]`` with a
-justification.
+These are heuristics: the runtime sanitizer (RPL153) checks the memo
+entries that come home, and deliberate exceptions take
+``# repro: noqa[RPL10x]`` with a justification.
 """
 
 from __future__ import annotations

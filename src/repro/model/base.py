@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import abc
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
@@ -389,9 +388,8 @@ class ContentMemo:
     bit-identical to a recompute, and entries computed in another process
     safe to :meth:`absorb`.
 
-    Reads and writes hold the memo's lock.  The lock is dropped on
-    pickling and rebuilt on unpickling, so a memo travels with the backend
-    that owns it.
+    A memo is used by one thread, and pickles with the backend that
+    owns it.
     """
 
     def __init__(self, max_entries: Optional[int], namespace: str) -> None:
@@ -405,30 +403,19 @@ class ContentMemo:
         #: Entries new since the last :meth:`take_gained` (None: not
         #: recording; only fleet workers record).
         self._gained: Optional[dict[tuple, object]] = None
-        self._lock = _san.wrap_lock("ContentMemo._lock", threading.RLock())
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = _san.wrap_lock("ContentMemo._lock", threading.RLock())
 
     def get(self, key: tuple) -> Optional[object]:
         """The value under ``key``, or None (counts a hit or a miss)."""
         if self.max_entries == 0:
             return None
-        with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                self.misses += 1
-                self._on_miss(key)
-                return None
-            self.hits += 1
-            self._entries.move_to_end(key)
-            return value
+        value = self._entries.get(key)
+        if value is None:
+            self.misses += 1
+            self._on_miss(key)
+            return None
+        self.hits += 1
+        self._entries.move_to_end(key)
+        return value
 
     def peek(self, key: tuple) -> Optional[object]:
         """Like :meth:`get`, but leaves the counters and LRU order alone.
@@ -438,15 +425,13 @@ class ContentMemo:
         """
         if self.max_entries == 0:
             return None
-        with self._lock:
-            return self._entries.get(key)
+        return self._entries.get(key)
 
     def put(self, key: tuple, value: object) -> None:
         """Record one entry (evicting LRU beyond ``max_entries``)."""
         if self.max_entries == 0:
             return
-        with self._lock:
-            self._insert(key, value)
+        self._insert(key, value)
 
     def absorb(self, items: Iterable[tuple[tuple, object]]) -> int:
         """Merge entries computed elsewhere; returns how many were new.
@@ -457,15 +442,14 @@ class ContentMemo:
         if self.max_entries == 0:
             return 0
         added = 0
-        with self._lock:
-            for key, value in items:
-                if key not in self._entries:
-                    self._insert(key, value)
-                    added += 1
-                elif _san.active():
-                    _san.check_coherent(
-                        f"{self.namespace} absorb", key, self._entries[key], value
-                    )
+        for key, value in items:
+            if key not in self._entries:
+                self._insert(key, value)
+                added += 1
+            elif _san.active():
+                _san.check_coherent(
+                    f"{self.namespace} absorb", key, self._entries[key], value
+                )
         return added
 
     def take_gained(self) -> list[tuple[tuple, object]]:
@@ -474,19 +458,14 @@ class ContentMemo:
         A fleet worker calls this once at start-up and then after each
         spec, so each later call returns exactly one spec's new entries.
         """
-        with self._lock:
-            taken, self._gained = self._gained, {}
+        taken, self._gained = self._gained, {}
         return list(taken.items()) if taken else []
 
     def items(self) -> list[tuple[tuple, object]]:
         """Snapshot of the entries, least recently used first."""
-        with self._lock:
-            return list(self._entries.items())
+        return list(self._entries.items())
 
     def _insert(self, key: tuple, value: object) -> None:
-        # Writes must be serialized by the memo lock; the sanitizer
-        # verifies the discipline holds on every path that reaches here.
-        _san.expect_held(self._lock, "ContentMemo insert")
         if key not in self._entries:
             self._on_resize(key, 1)
             if self._gained is not None:
@@ -498,10 +477,10 @@ class ContentMemo:
                 self._on_resize(evicted, -1)
 
     def _on_miss(self, key: tuple) -> None:
-        """Hook: a lookup of ``key`` missed (lock held)."""
+        """Hook: a lookup of ``key`` missed."""
 
     def _on_resize(self, key: tuple, delta: int) -> None:
-        """Hook: ``key`` entered (+1) or left (-1) the memo (lock held)."""
+        """Hook: ``key`` entered (+1) or left (-1) the memo."""
 
     @property
     def stats(self) -> CacheStats:

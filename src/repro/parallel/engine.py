@@ -27,7 +27,6 @@ preserves the executor's bit-identity contract at every jobs setting.
 from __future__ import annotations
 
 import atexit
-import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Hashable, Iterator, Mapping, Optional, Sequence
@@ -37,7 +36,6 @@ from repro.faults.engine import (
     FleetUnavailableError,
     active_injector,
 )
-from repro.lint import sanitizer as _san
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import ContentMemo, MeasurementCache, MemoizedBackend
 from repro.parallel.plan import RunSpec
@@ -104,17 +102,15 @@ def run_serial(
 
 def _fleet_execute(
     spec: RunSpec,
-) -> tuple[Hashable, Any, Optional[dict], list, dict]:
+) -> tuple[Hashable, Any, Optional[dict], dict]:
     """Fleet worker entry point: one spec plus what it leaves behind.
 
     Besides the result and its cache-counter delta, the worker ships
-    home its sanitizer findings (an empty list when the sanitizer is
-    off; each worker runs its own sanitizer) and the entries its memos
-    gained during the spec.  Anything that stays in a worker dies with it.
+    home the entries its memos gained during the spec.  Anything that
+    stays in a worker dies with it.
     """
     key, value, delta = next(run_serial([spec]))
-    gained = SharedEngine._instance._take_gained()
-    return key, value, delta, _san.take_findings(), gained
+    return key, value, delta, SharedEngine._instance._take_gained()
 
 
 def _init_fleet_worker(entries: Mapping[tuple, object]) -> None:
@@ -135,9 +131,6 @@ class SharedEngine:
     """Process-wide singleton owning the fleet and the persistent backend."""
 
     _instance: Optional["SharedEngine"] = None
-    # Class-level by necessity: it guards singleton creation itself, is
-    # held only for pointer swaps, and module import precedes any fork.
-    _instance_lock = threading.Lock()  # repro: noqa[RPL106]
     #: Directory for durable store segments (``--store-path``); set via
     #: :meth:`configure` before the singleton is built.
     _store_path: Optional[str] = None
@@ -145,10 +138,9 @@ class SharedEngine:
     @classmethod
     def instance(cls) -> "SharedEngine":
         """The invocation's engine (created on first use)."""
-        with cls._instance_lock:
-            if cls._instance is None:
-                cls._instance = cls()
-            return cls._instance
+        if cls._instance is None:
+            cls._instance = cls()
+        return cls._instance
 
     @classmethod
     def configure(cls, store_path: Optional[str] = None) -> None:
@@ -160,28 +152,23 @@ class SharedEngine:
         flushes new entries after every run and at shutdown.  Must be
         called before the singleton exists; :meth:`reset` clears it.
         """
-        with cls._instance_lock:
-            if cls._instance is not None and cls._store_path != store_path:
-                raise RuntimeError(
-                    "SharedEngine.configure must run before the engine is "
-                    "built (call SharedEngine.reset() first)"
-                )
-            cls._store_path = store_path
+        if cls._instance is not None and cls._store_path != store_path:
+            raise RuntimeError(
+                "SharedEngine.configure must run before the engine is "
+                "built (call SharedEngine.reset() first)"
+            )
+        cls._store_path = store_path
 
     @classmethod
     def reset(cls) -> None:
         """Tear down the singleton (tests; end of invocation)."""
-        with cls._instance_lock:
-            engine, cls._instance = cls._instance, None
-            cls._store_path = None
+        engine, cls._instance = cls._instance, None
+        cls._store_path = None
         if engine is not None:
             engine.shutdown()
 
     def __init__(self, worker: bool = False) -> None:
         self._worker = worker
-        # Reentrant: backend() may be reached from a path already holding
-        # the lock (e.g. fleet bring-up snapshotting the memos).
-        self._lock = _san.wrap_lock("SharedEngine._lock", threading.RLock())
         self._backend: Optional[MemoizedBackend] = None
         self._pool: Optional[ProcessPoolExecutor] = None
         self._pool_workers = 0
@@ -200,22 +187,16 @@ class SharedEngine:
     def backend(self) -> MemoizedBackend:
         """The persistent backend (built once, shared by all).
 
-        Thread-safe and reused across experiments; drivers get it from
+        Reused across experiments; drivers get it from
         :func:`repro.experiments.runner.make_backend` when the config's
-        engine is ``shared``.  Double-checked: the unlocked fast path
-        serves the common already-built case, the locked re-check makes
-        first-build unique (two racing builders would otherwise register
-        two backends with the stats tracker and split L1 caches).
+        engine is ``shared``.
         """
         if self._backend is None:
-            with self._lock:
-                if self._backend is None:
-                    backend = MemoizedBackend(
-                        AnalyticBackend(solution_cache_size=MEMO_ENTRIES),
-                        cache=MeasurementCache(MEMO_ENTRIES),
-                    )
-                    track_backend(backend)
-                    self._backend = backend
+            self._backend = MemoizedBackend(
+                AnalyticBackend(solution_cache_size=MEMO_ENTRIES),
+                cache=MeasurementCache(MEMO_ENTRIES),
+            )
+            track_backend(self._backend)
         return self._backend
 
     def _memos(self) -> tuple[ContentMemo, ContentMemo]:
@@ -271,8 +252,7 @@ class SharedEngine:
         after its one rebuild as ``BrokenProcessPool`` (its pool retired
         first); either is the executor's cue to degrade.
         """
-        with self._lock:
-            self.runs += 1
+        self.runs += 1
         injector = faults if faults is not None else active_injector()
         try:
             if jobs > 1 and len(specs) > 1 and not self._worker:
@@ -282,8 +262,7 @@ class SharedEngine:
                     # Retire the broken pool so a later run starts fresh.
                     self._teardown_pool()
                     raise
-                for key, value, delta, shipped, gained in mapped:
-                    _san.absorb(shipped)
+                for key, value, delta, gained in mapped:
                     self._absorb(gained)
                     yield key, value, delta
             else:
@@ -296,7 +275,7 @@ class SharedEngine:
         specs: Sequence[RunSpec],
         jobs: int,
         injector: Optional[EngineFaultInjector] = None,
-    ) -> list[tuple[Hashable, Any, Optional[dict], list, dict]]:
+    ) -> list[tuple[Hashable, Any, Optional[dict], dict]]:
         workers = min(jobs, len(specs))
         pool = self._ensure_fleet(workers, injector)
         chunksize = plan_chunksize(len(specs), workers)
@@ -321,49 +300,42 @@ class SharedEngine:
     def _ensure_fleet(
         self, workers: int, injector: Optional[EngineFaultInjector] = None
     ) -> ProcessPoolExecutor:
-        """The live pool, grown to at least ``workers`` (built under lock).
+        """The live pool, grown to at least ``workers``.
 
-        Returns a snapshot rather than leaving callers to re-read
-        ``self._pool``: a concurrent rebuild can swap the attribute, and
-        mapping onto a snapshot either works or raises
-        ``BrokenProcessPool``/``RuntimeError`` — never silently targets a
-        half-built pool.  The outgoing pool (when growing) is shut down
-        *outside* the lock; its drain can take arbitrarily long.
+        When growing, the outgoing pool is shut down after the new one
+        is built.
         """
         if self._worker:
             raise RuntimeError("fleet workers must not spawn nested fleets")
         if injector is not None and injector.on_build():
             raise FleetUnavailableError("injected fleet build failure")
-        stale: Optional[ProcessPoolExecutor] = None
-        try:
-            with self._lock:
-                if self._pool is None or self._pool_workers < workers:
-                    stale, self._pool = self._pool, None
-                    self._pool_workers = max(self._pool_workers, workers)
-                    self._pool = ProcessPoolExecutor(
-                        max_workers=self._pool_workers,
-                        initializer=_init_fleet_worker,
-                        initargs=(self._entries(),),
-                    )
-                pool = self._pool
-        except OSError as exc:
-            # Real bring-up failure (fork refused, fd exhaustion): same
-            # ladder as an injected one.
-            raise FleetUnavailableError(f"fleet bring-up failed: {exc}") from exc
-        if stale is not None:
-            stale.shutdown(wait=True)
-        return pool
+        if self._pool is None or self._pool_workers < workers:
+            stale, self._pool = self._pool, None
+            self._pool_workers = max(self._pool_workers, workers)
+            try:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._pool_workers,
+                    initializer=_init_fleet_worker,
+                    initargs=(self._entries(),),
+                )
+            except OSError as exc:
+                # Real bring-up failure (fork refused, fd exhaustion):
+                # same ladder as an injected one.
+                raise FleetUnavailableError(
+                    f"fleet bring-up failed: {exc}"
+                ) from exc
+            if stale is not None:
+                stale.shutdown(wait=True)
+        return self._pool
 
     def _teardown_pool(
         self, pool: Optional[ProcessPoolExecutor] = None
     ) -> None:
-        """Retire ``pool`` (default: the current one); swap under the
-        lock, drain outside it."""
-        with self._lock:
-            if pool is None:
-                pool = self._pool
-            if pool is self._pool:
-                self._pool = None
+        """Retire ``pool`` (default: the current one) and drain it."""
+        if pool is None:
+            pool = self._pool
+        if pool is self._pool:
+            self._pool = None
         if pool is not None:
             pool.shutdown(wait=True)
 
@@ -387,9 +359,8 @@ class SharedEngine:
         """Flush, stop the fleet and drop the persistent backend."""
         self._flush_store()
         self._teardown_pool()
-        with self._lock:
-            self._backend = None
-            self._pool_workers = 0
+        self._backend = None
+        self._pool_workers = 0
 
     def stats(self) -> dict[str, float]:
         """Engine-level diagnostics (for benchmarks and reports).

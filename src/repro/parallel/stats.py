@@ -31,7 +31,6 @@ the executor.
 
 from __future__ import annotations
 
-import threading
 import weakref
 from typing import Optional
 
@@ -45,10 +44,6 @@ __all__ = [
     "CacheStatsCapture",
 ]
 
-# Module-level by necessity (the registry it guards is module-level and
-# process-local); held only for short registry ops, never across fork,
-# and each worker process re-creates it fresh at import.
-_REGISTRY_LOCK = threading.Lock()  # repro: noqa[RPL106]
 _TRACKED: "weakref.WeakSet[PerformanceBackend]" = weakref.WeakSet()
 _SCOPES: list["CacheStatsCapture"] = []
 
@@ -64,10 +59,9 @@ def track_backend(backend: PerformanceBackend) -> PerformanceBackend:
     registry holds weak references only; tracking never extends a
     backend's lifetime beyond any capture scope that pinned it.
     """
-    with _REGISTRY_LOCK:
-        _TRACKED.add(backend)
-        for scope in _SCOPES:
-            scope._pin(backend)
+    _TRACKED.add(backend)
+    for scope in _SCOPES:
+        scope._pin(backend)
     return backend
 
 
@@ -157,16 +151,14 @@ class CacheStatsCapture:
         return total
 
     def __enter__(self) -> "CacheStatsCapture":
-        with _REGISTRY_LOCK:
-            for backend in list(_TRACKED):
-                self._pin(backend)
-            _SCOPES.append(self)
+        for backend in list(_TRACKED):
+            self._pin(backend)
+        _SCOPES.append(self)
         self._before = self._counters()
         return self
 
     def __exit__(self, *exc_info: object) -> None:
-        with _REGISTRY_LOCK:
-            _SCOPES.remove(self)
+        _SCOPES.remove(self)
 
     def delta(self) -> Optional[dict[str, float]]:
         """The counter increase observed inside the scope (None if zero).

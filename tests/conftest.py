@@ -1,13 +1,13 @@
 """Shared pytest configuration.
 
 The CI sanitize job runs the parallel/shared-engine suites with
-``REPRO_SANITIZE=1``, which makes the ``repro.parallel`` hot objects
-construct tracked locks and run the RPL151–RPL153 checks while the
-ordinary tests exercise them.  Any finding still recorded when the
-session ends is a real race/determinism bug in the instrumented code:
-tests that *inject* violations on purpose do so inside
-``sanitizer.scope()``, whose findings never reach the process-wide
-list.  The gate below turns leftovers into a session failure.
+``REPRO_SANITIZE=1``, which makes every memo absorb run the RPL153
+coherence check while the ordinary tests drive the fleet.  Any finding
+still recorded when the session ends is a real determinism bug (a key
+that does not determine its value): tests that *inject* violations on
+purpose do so inside ``sanitizer.scope()``, whose findings never reach
+the process-wide list.  The gate below turns leftovers into a session
+failure.
 """
 
 from __future__ import annotations

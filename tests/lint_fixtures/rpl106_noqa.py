@@ -4,4 +4,4 @@ import threading
 
 # Guards a process-local registry: held only for short ops, never
 # across fork, and every worker re-creates it fresh at import.
-_REGISTRY_LOCK = threading.Lock()  # repro: noqa[RPL106]
+_REGISTRY_GUARD = threading.Lock()  # repro: noqa[RPL106]

@@ -28,7 +28,7 @@ class TestParser:
     @pytest.mark.parametrize(
         "option",
         [["--store-path", "store"], ["--engine-faults", "plan.json"],
-         ["--jobs", "2"], ["--engine", "inline"]],
+         ["--jobs", "2"], ["--engine", "inline"], ["--sanitize"]],
         ids=lambda option: option[0],
     )
     def test_engine_options_are_experiment_only(self, option, capsys):

@@ -20,12 +20,10 @@ def test_lint_rules_listing(capsys):
     out = capsys.readouterr().out
     for rule_id in ("RPL001", "RPL002", "RPL003", "RPL004",
                     "RPL005", "RPL006", "RPL007", "RPL008",
-                    "RPL101", "RPL102", "RPL103", "RPL104",
                     "RPL105", "RPL106", "RPL107", "RPL108"):
         assert rule_id in out
-    # The runtime sanitizer family is listed alongside the static rules.
-    for rule_id in ("RPL151", "RPL152", "RPL153"):
-        assert rule_id in out
+    # The runtime sanitizer rule is listed alongside the static rules.
+    assert "RPL153" in out
 
 
 def test_lint_clean_file_exits_zero(tmp_path, capsys):
@@ -73,26 +71,21 @@ def test_lint_select_and_ignore(tmp_path, capsys):
 
 
 def test_lint_family_prefix_select(tmp_path, capsys):
-    # RPL005 (mutable default) plus RPL101 (unguarded shared mutation).
+    # RPL005 (mutable default) plus RPL106 (import-time lock).
     target = tmp_path / "src" / "repro" / "parallel" / "shared.py"
     target.parent.mkdir(parents=True)
     target.write_text(
         "import threading\n"
         "def f(xs=[]):\n"
         "    return xs\n"
-        "class S:\n"
-        "    def __init__(self):\n"
-        "        self._lock = threading.Lock()\n"
-        "        self.n = 0\n"
-        "    def bump(self):\n"
-        "        self.n += 1\n"
+        "_LOCK = threading.Lock()\n"
     )
-    # Selecting the concurrency family alone hides the RPL00x finding.
+    # Selecting the fleet-hygiene family alone hides the RPL00x finding.
     assert main(
         ["lint", "--root", str(tmp_path), "--select", "RPL1", str(target)]
     ) == 1
     out = capsys.readouterr().out
-    assert "RPL101" in out and "RPL005" not in out
+    assert "RPL106" in out and "RPL005" not in out
     # Ignoring the whole family by prefix removes it again.
     assert main(
         ["lint", "--root", str(tmp_path),

@@ -238,16 +238,16 @@ def test_rules_listing_documents_every_rule():
 # ----------------------------------------------------------------------
 def test_family_prefix_select_and_ignore():
     config = LintConfig(select=frozenset({"RPL1"}))
-    assert config.rule_enabled("RPL101")
+    assert config.rule_enabled("RPL105")
     assert config.rule_enabled("RPL108")
     assert not config.rule_enabled("RPL001")
     config = LintConfig(ignore=frozenset({"RPL10"}))
-    assert not config.rule_enabled("RPL104")
+    assert not config.rule_enabled("RPL107")
     assert config.rule_enabled("RPL001")
     # Exact ids still behave as exact ids.
-    config = LintConfig(select=frozenset({"RPL101"}))
-    assert config.rule_enabled("RPL101")
-    assert not config.rule_enabled("RPL102")
+    config = LintConfig(select=frozenset({"RPL105"}))
+    assert config.rule_enabled("RPL105")
+    assert not config.rule_enabled("RPL106")
 
 
 def test_family_prefix_per_file_ignores():
@@ -256,6 +256,6 @@ def test_family_prefix_per_file_ignores():
             ("src/repro/parallel/*.py", frozenset({"RPL1"})),
         )
     )
-    assert config.rule_ignored_for_path("RPL103", "src/repro/parallel/engine.py")
+    assert config.rule_ignored_for_path("RPL107", "src/repro/parallel/engine.py")
     assert not config.rule_ignored_for_path("RPL003", "src/repro/parallel/engine.py")
-    assert not config.rule_ignored_for_path("RPL103", "src/repro/cli.py")
+    assert not config.rule_ignored_for_path("RPL107", "src/repro/cli.py")

@@ -34,10 +34,6 @@ EXPECTED_BAD = {
     "rpl007_bad": ("RPL007", 4),
     "rpl008_bad": ("RPL008", 2),
     "rpl009_bad": ("RPL009", 4),
-    "rpl101_bad": ("RPL101", 3),
-    "rpl102_bad": ("RPL102", 2),
-    "rpl103_bad": ("RPL103", 1),
-    "rpl104_bad": ("RPL104", 4),
     "rpl105_bad": ("RPL105", 4),
     "rpl106_bad": ("RPL106", 4),
     "rpl107_bad": ("RPL107", 4),
