@@ -2,6 +2,10 @@
 hardware, backend physics sanity, end-to-end persistence."""
 
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +17,19 @@ from repro.model.base import Scenario
 from repro.model.noise import NoiseModel
 from repro.tpcw.interactions import BROWSING_MIX, ORDERING_MIX
 from repro.util.units import GB
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_fresh(script: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that sees only ``src/``."""
+    return subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 class TestPublicApi:
@@ -27,6 +44,10 @@ class TestPublicApi:
             "repro.experiments", "repro.util", "repro.cli",
         ):
             importlib.import_module(mod)
+
+    def test_sim_process_imports_first(self):
+        done = run_fresh("import repro.sim.process")
+        assert done.returncode == 0, done.stderr
 
     def test_harmony_all_importable(self):
         import repro.harmony as harmony
