@@ -1,6 +1,7 @@
 """Ablation benches: search strategies, extreme-value damping, hybrid tuning."""
 
-from repro.experiments import ExperimentConfig, ablations
+from repro.experiments import ablations
+from repro.experiments.runner import ExperimentConfig
 
 FULL = ExperimentConfig()
 

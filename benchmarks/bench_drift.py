@@ -6,7 +6,8 @@ every phase — the paper's "no universal configuration" argument restated
 under drifting (rather than switching) traffic.
 """
 
-from repro.experiments import ExperimentConfig, drift
+from repro.experiments import drift
+from repro.experiments.runner import ExperimentConfig
 
 FULL = ExperimentConfig()
 

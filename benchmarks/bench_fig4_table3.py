@@ -5,7 +5,8 @@ cluster, re-measures each best configuration under every mix (the Figure 4
 cross-application matrix) and renders the Table 3 parameter listing.
 """
 
-from repro.experiments import ExperimentConfig, fig4, table3
+from repro.experiments import fig4, table3
+from repro.experiments.runner import ExperimentConfig
 from repro.util.tables import Table
 
 FULL = ExperimentConfig()

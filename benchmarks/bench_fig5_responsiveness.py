@@ -1,6 +1,7 @@
 """Figure 5: responsiveness to changing workloads (100-iteration segments)."""
 
-from repro.experiments import ExperimentConfig, fig5
+from repro.experiments import fig5
+from repro.experiments.runner import ExperimentConfig
 
 FULL = ExperimentConfig()
 

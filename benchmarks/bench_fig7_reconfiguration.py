@@ -1,7 +1,8 @@
 """Figure 7: automatic cluster reconfiguration (both duals)."""
 
 from repro.cluster.node import Role
-from repro.experiments import ExperimentConfig, fig7
+from repro.experiments import fig7
+from repro.experiments.runner import ExperimentConfig
 
 FULL = ExperimentConfig()
 

@@ -33,7 +33,7 @@ from repro.experiments import fig4
 from repro.experiments.runner import ExperimentConfig
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import Scenario
-from repro.parallel import SharedEngine
+from repro.parallel.engine import SharedEngine
 from repro.tpcw.interactions import SHOPPING_MIX
 from repro.util.serialization import atomic_write_json
 

@@ -6,7 +6,8 @@ workload — the capacity-planning face of the paper's §IV result that node
 roles must follow the traffic.
 """
 
-from repro.experiments import ExperimentConfig, price_performance
+from repro.experiments import price_performance
+from repro.experiments.runner import ExperimentConfig
 
 FULL = ExperimentConfig()
 

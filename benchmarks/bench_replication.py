@@ -7,11 +7,11 @@ Runs at a reduced (100-iteration) budget per seed to keep the bench under
 a minute per replication.
 """
 
-from repro.experiments import ExperimentConfig
 from repro.experiments.replication import (
     replicate_fig4_improvements,
     replication_table,
 )
+from repro.experiments.runner import ExperimentConfig
 
 CONFIG = ExperimentConfig(iterations=100)
 SEEDS = (17, 99, 2024)

@@ -1,7 +1,7 @@
 """Robustness ablations: tuning gain vs measurement noise and vs load."""
 
-from repro.experiments import ExperimentConfig
 from repro.experiments.robustness import run_load_sweep, run_noise_sweep
+from repro.experiments.runner import ExperimentConfig
 
 FULL = ExperimentConfig()
 

@@ -33,7 +33,7 @@ from repro.model.base import Scenario
 from repro.model.fluid import solve_mva_fluid
 from repro.model.mva import Station, solve_mva_exact
 from repro.model.noise import NoiseModel
-from repro.parallel import SharedEngine
+from repro.parallel.engine import SharedEngine
 from repro.tpcw.interactions import STANDARD_MIXES
 from repro.util.serialization import atomic_write_json
 

@@ -6,7 +6,8 @@ browsing mix), and shrinking ``join_buffer_size`` from its 8 MB default
 does not hurt.
 """
 
-from repro.experiments import ExperimentConfig, sensitivity
+from repro.experiments import sensitivity
+from repro.experiments.runner import ExperimentConfig
 
 FULL = ExperimentConfig()
 

@@ -34,7 +34,7 @@ from bench_parallel_engine import REDUCED, SerialBaselineBackend
 
 from repro.experiments import fig4, table4
 from repro.experiments.runner import ExperimentConfig
-from repro.parallel import SharedEngine
+from repro.parallel.engine import SharedEngine
 from repro.util.serialization import atomic_write_json
 
 RESULT_PATH = pathlib.Path(__file__).parent.parent / "BENCH_shared_engine.json"

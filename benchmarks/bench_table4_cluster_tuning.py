@@ -4,7 +4,8 @@ Runs the full 200-iteration protocol per method on the 2-proxy / 2-app /
 2-database cluster (the smallest layout admitting two work lines).
 """
 
-from repro.experiments import ExperimentConfig, table4
+from repro.experiments import table4
+from repro.experiments.runner import ExperimentConfig
 
 FULL = ExperimentConfig()
 

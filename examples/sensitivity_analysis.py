@@ -20,11 +20,8 @@ from repro import (
     Scenario,
     make_scheme,
 )
-from repro.analysis import (
-    history_importance,
-    importance_table,
-    sensitivity_report,
-)
+from repro.analysis.importance import history_importance, importance_table
+from repro.analysis.sensitivity import sensitivity_report
 
 INTERESTING = (
     "proxy0.cache_mem",

@@ -34,83 +34,70 @@ Quickstart::
     print(session.best_configuration())
 """
 
-from repro.cluster.node import NodeSpec, Role
-from repro.cluster.pricing import PricingModel
-from repro.cluster.topology import ClusterSpec, NodePlacement
-from repro.harmony.client import HarmonyClient
-from repro.harmony.net import HarmonyTCPServer, RemoteHarmonyClient
-from repro.harmony.constraints import ConstraintSet, OrderingConstraint
-from repro.harmony.parameter import Configuration, IntParameter, ParameterSpace
-from repro.harmony.scaling import DuplicationScheme, PartitionScheme, identity_scheme
-from repro.harmony.search import (
-    CoordinateDescent,
-    RandomSearch,
-    SearchStrategy,
-    SimplexStrategy,
-)
-from repro.harmony.server import HarmonyServer
-from repro.harmony.simplex import NelderMeadSimplex, SimplexOptions
-from repro.model.analytic import AnalyticBackend
-from repro.model.base import Measurement, PerformanceBackend, Scenario
-from repro.tpcw.interactions import (
-    BROWSING_MIX,
-    Interaction,
-    ORDERING_MIX,
-    SHOPPING_MIX,
-    STANDARD_MIXES,
-    WorkloadMix,
-)
-from repro.tuning.adaptive import AdaptiveTuningSession
-from repro.tuning.reconfig import ReconfigPolicy, Reconfigurator
-from repro.tuning.reconfig_loop import ReconfigurationLoop
-from repro.tuning.session import ClusterTuningSession, make_scheme
+from importlib import import_module
+
+#: Public name -> the module that defines it.  The module loads on first
+#: access (PEP 562), so ``import repro`` alone loads no subpackage.
+_EXPORTS = {
+    # harmony
+    "IntParameter": "repro.harmony.parameter",
+    "ConstraintSet": "repro.harmony.constraints",
+    "OrderingConstraint": "repro.harmony.constraints",
+    "ParameterSpace": "repro.harmony.parameter",
+    "Configuration": "repro.harmony.parameter",
+    "NelderMeadSimplex": "repro.harmony.simplex",
+    "SimplexOptions": "repro.harmony.simplex",
+    "SearchStrategy": "repro.harmony.search",
+    "SimplexStrategy": "repro.harmony.search",
+    "RandomSearch": "repro.harmony.search",
+    "CoordinateDescent": "repro.harmony.search",
+    "HarmonyServer": "repro.harmony.server",
+    "HarmonyClient": "repro.harmony.client",
+    "HarmonyTCPServer": "repro.harmony.net",
+    "RemoteHarmonyClient": "repro.harmony.net",
+    "DuplicationScheme": "repro.harmony.scaling",
+    "PartitionScheme": "repro.harmony.scaling",
+    "identity_scheme": "repro.harmony.scaling",
+    # cluster
+    "Role": "repro.cluster.node",
+    "NodeSpec": "repro.cluster.node",
+    "NodePlacement": "repro.cluster.topology",
+    "ClusterSpec": "repro.cluster.topology",
+    "PricingModel": "repro.cluster.pricing",
+    # tpcw
+    "Interaction": "repro.tpcw.interactions",
+    "WorkloadMix": "repro.tpcw.interactions",
+    "BROWSING_MIX": "repro.tpcw.interactions",
+    "SHOPPING_MIX": "repro.tpcw.interactions",
+    "ORDERING_MIX": "repro.tpcw.interactions",
+    "STANDARD_MIXES": "repro.tpcw.interactions",
+    # backends
+    "PerformanceBackend": "repro.model.base",
+    "AnalyticBackend": "repro.model.analytic",
+    "Scenario": "repro.model.base",
+    "Measurement": "repro.model.base",
+    # tuning
+    "ClusterTuningSession": "repro.tuning.session",
+    "AdaptiveTuningSession": "repro.tuning.adaptive",
+    "make_scheme": "repro.tuning.session",
+    "Reconfigurator": "repro.tuning.reconfig",
+    "ReconfigPolicy": "repro.tuning.reconfig",
+    "ReconfigurationLoop": "repro.tuning.reconfig_loop",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # harmony
-    "IntParameter",
-    "ConstraintSet",
-    "OrderingConstraint",
-    "ParameterSpace",
-    "Configuration",
-    "NelderMeadSimplex",
-    "SimplexOptions",
-    "SearchStrategy",
-    "SimplexStrategy",
-    "RandomSearch",
-    "CoordinateDescent",
-    "HarmonyServer",
-    "HarmonyClient",
-    "HarmonyTCPServer",
-    "RemoteHarmonyClient",
-    "DuplicationScheme",
-    "PartitionScheme",
-    "identity_scheme",
-    # cluster
-    "Role",
-    "NodeSpec",
-    "NodePlacement",
-    "ClusterSpec",
-    "PricingModel",
-    # tpcw
-    "Interaction",
-    "WorkloadMix",
-    "BROWSING_MIX",
-    "SHOPPING_MIX",
-    "ORDERING_MIX",
-    "STANDARD_MIXES",
-    # backends
-    "PerformanceBackend",
-    "AnalyticBackend",
-    "Scenario",
-    "Measurement",
-    # tuning
-    "ClusterTuningSession",
-    "AdaptiveTuningSession",
-    "make_scheme",
-    "Reconfigurator",
-    "ReconfigPolicy",
-    "ReconfigurationLoop",
-]
+__all__ = ["__version__", *_EXPORTS]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

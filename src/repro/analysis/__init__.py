@@ -14,25 +14,3 @@ This package provides both directions of that insight:
   from a recorded :class:`~repro.harmony.history.TuningHistory` (what an
   administrator learns from the tuning run itself, without extra probes).
 """
-
-from repro.analysis.importance import (
-    ParameterImportance,
-    history_importance,
-    importance_table,
-)
-from repro.analysis.sensitivity import (
-    SensitivityCurve,
-    SensitivityReport,
-    sensitivity_report,
-    sweep_parameter,
-)
-
-__all__ = [
-    "SensitivityCurve",
-    "SensitivityReport",
-    "sweep_parameter",
-    "sensitivity_report",
-    "ParameterImportance",
-    "history_importance",
-    "importance_table",
-]

@@ -350,12 +350,13 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     resilience = None
     plan = None
     if args.faults:
-        from repro.faults import FaultPlan, FaultyBackend
+        from repro.faults.backend import FaultyBackend
+        from repro.faults.plan import FaultPlan
 
         plan = FaultPlan.load(args.faults)
         backend = FaultyBackend(backend, plan)
     if args.resilience:
-        from repro.faults import ResiliencePolicy
+        from repro.faults.resilience import ResiliencePolicy
 
         resilience = ResiliencePolicy()
     journal = None
@@ -446,8 +447,8 @@ def _cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    from repro.experiments import ExperimentConfig
-    from repro.parallel import resolve_jobs
+    from repro.experiments.runner import ExperimentConfig
+    from repro.parallel.executor import resolve_jobs
 
     if args.store_path:
         from repro.parallel.engine import SharedEngine
@@ -541,7 +542,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
                 print(f"  {key[len('profile.'):]:<24} {value:,.6g}")
     elif args.name == "chaos":
         from repro.experiments import chaos
-        from repro.faults import FaultPlan, ResiliencePolicy
+        from repro.faults.plan import FaultPlan
+        from repro.faults.resilience import ResiliencePolicy
 
         plan = FaultPlan.load(args.faults) if args.faults else None
         policy = None
@@ -603,16 +605,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     import pathlib
 
-    from repro.lint import (
-        ALL_RULES,
-        Analyzer,
-        find_root,
-        format_json,
-        format_rules,
-        format_text,
-        load_config,
-        rules_by_id,
-    )
+    from repro.lint.config import find_root, load_config
+    from repro.lint.core import Analyzer
+    from repro.lint.reporters import format_json, format_rules, format_text
+    from repro.lint.rules import ALL_RULES, rules_by_id
 
     if args.rules:
         print(format_rules(ALL_RULES))
@@ -696,8 +692,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if sanitize:
-        from repro.lint import format_text, sanitizer
+        from repro.lint import sanitizer
         from repro.lint.core import LintResult
+        from repro.lint.reporters import format_text
 
         runtime = sanitizer.findings()
         print("sanitizer: " + ("FAIL" if runtime else "ok"), file=sys.stderr)

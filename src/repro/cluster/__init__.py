@@ -15,35 +15,3 @@ package models that substrate:
   space (``"<node>.<param>"`` names) and the reconfiguration operation
   (moving a node between tiers) used by §IV.
 """
-
-from repro.cluster.appserver import AppServerModel
-from repro.cluster.database import DatabaseModel
-from repro.cluster.memory import MemoryModel
-from repro.cluster.node import NodeSpec, Role
-from repro.cluster.params import (
-    APP_PARAMS,
-    DB_PARAMS,
-    PROXY_PARAMS,
-    params_for_role,
-    space_for_role,
-)
-from repro.cluster.pricing import PricingModel
-from repro.cluster.proxy import ProxyModel
-from repro.cluster.topology import ClusterSpec, NodePlacement
-
-__all__ = [
-    "NodeSpec",
-    "Role",
-    "PROXY_PARAMS",
-    "APP_PARAMS",
-    "DB_PARAMS",
-    "params_for_role",
-    "space_for_role",
-    "MemoryModel",
-    "PricingModel",
-    "ProxyModel",
-    "AppServerModel",
-    "DatabaseModel",
-    "ClusterSpec",
-    "NodePlacement",
-]

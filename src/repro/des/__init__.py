@@ -13,14 +13,3 @@ agree on throughput within a tolerance.
 Use it for validation and request-level detail (latency distributions,
 queue dynamics); use the analytic backend for 200-iteration tuning sweeps.
 """
-
-from repro.des.backend import SimulationBackend
-from repro.des.servers import AppServerSim, DbServerSim, NodeSim, ProxyServerSim
-
-__all__ = [
-    "SimulationBackend",
-    "NodeSim",
-    "ProxyServerSim",
-    "AppServerSim",
-    "DbServerSim",
-]

@@ -430,7 +430,8 @@ class SimulationBackend(PerformanceBackend):
                 self._measure_once(scenario, configuration, s) for s in seeds
             ]
         else:
-            from repro.parallel import ParallelExecutor, RunSpec
+            from repro.parallel.executor import ParallelExecutor
+            from repro.parallel.plan import RunSpec
 
             jobs = self.replication_jobs or min(
                 len(seeds), os.cpu_count() or 1

@@ -16,40 +16,3 @@ The engine-level robustness layer (docs/robustness.md, "Layer 2"):
   and flushes new entries after every run; fleet workers never touch
   the directory.
 """
-
-from repro.durability.framing import (
-    FrameError,
-    FrameScan,
-    append_frame,
-    frame,
-    scan_file,
-    scan_frames,
-)
-from repro.durability.journal import (
-    ExperimentJournal,
-    JournalError,
-    JournaledRunner,
-    ReplayedMeasurementError,
-    SessionJournal,
-    measurement_from_dict,
-    measurement_to_dict,
-)
-from repro.durability.diskstore import SEGMENT_SCHEMA, StorePersistence
-
-__all__ = [
-    "ExperimentJournal",
-    "FrameError",
-    "FrameScan",
-    "JournalError",
-    "JournaledRunner",
-    "ReplayedMeasurementError",
-    "SEGMENT_SCHEMA",
-    "SessionJournal",
-    "StorePersistence",
-    "append_frame",
-    "frame",
-    "measurement_from_dict",
-    "measurement_to_dict",
-    "scan_file",
-    "scan_frames",
-]

@@ -23,7 +23,3 @@ run these drivers and print the renderings.
 | robustness        | :mod:`repro.experiments.robustness`         |
 | replication       | :mod:`repro.experiments.replication`        |
 """
-
-from repro.experiments.runner import ExperimentConfig, remeasure
-
-__all__ = ["ExperimentConfig", "remeasure"]

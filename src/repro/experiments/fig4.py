@@ -27,13 +27,14 @@ from repro.experiments.runner import (
     ExperimentConfig,
     make_executor,
     make_backend,
-    merge_cache_stats,
     remeasure,
 )
 from repro.harmony.history import TuningHistory
 from repro.harmony.parameter import Configuration
 from repro.model.base import PerformanceBackend, Scenario
-from repro.parallel import ParallelExecutor, RunSpec, track_backend
+from repro.parallel.executor import ParallelExecutor
+from repro.parallel.plan import RunSpec
+from repro.parallel.stats import merge_cache_stats, track_backend
 from repro.tpcw.interactions import STANDARD_MIXES
 from repro.tuning.session import ClusterTuningSession, make_scheme
 from repro.util.rng import derive_seed

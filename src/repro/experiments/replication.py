@@ -15,7 +15,8 @@ from typing import Callable, Mapping, Sequence
 
 from repro.experiments import fig4
 from repro.experiments.runner import ExperimentConfig
-from repro.parallel import ParallelExecutor, RunSpec
+from repro.parallel.executor import ParallelExecutor
+from repro.parallel.plan import RunSpec
 from repro.util.stats import RunningStats
 from repro.util.tables import Table
 

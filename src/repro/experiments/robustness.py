@@ -23,7 +23,8 @@ from repro.experiments.runner import ExperimentConfig, remeasure
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import Scenario
 from repro.model.noise import NoiseModel
-from repro.parallel import ParallelExecutor, RunSpec
+from repro.parallel.executor import ParallelExecutor
+from repro.parallel.plan import RunSpec
 from repro.tpcw.interactions import STANDARD_MIXES
 from repro.tuning.session import ClusterTuningSession, make_scheme
 from repro.util.rng import derive_seed

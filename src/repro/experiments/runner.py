@@ -9,11 +9,7 @@ from repro.harmony.parameter import Configuration
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import MemoizedBackend, PerformanceBackend, Scenario
 from repro.parallel.engine import SharedEngine, resolve_engine
-from repro.parallel.stats import (
-    collect_cache_stats,
-    merge_cache_stats,
-    track_backend,
-)
+from repro.parallel.stats import track_backend
 from repro.util.rng import derive_seed
 from repro.util.stats import RunningStats
 
@@ -23,8 +19,6 @@ __all__ = [
     "make_executor",
     "remeasure",
     "make_backend",
-    "collect_cache_stats",
-    "merge_cache_stats",
 ]
 
 
@@ -161,11 +155,6 @@ def make_executor(config: ExperimentConfig, experiment: str):
         engine=config.engine,
         journal=experiment_journal(config, experiment),
     )
-
-
-# collect_cache_stats / merge_cache_stats live in repro.parallel.stats now
-# (the executor aggregates worker deltas with them); re-exported here for
-# compatibility with existing imports.
 
 
 def remeasure(

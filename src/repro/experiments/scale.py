@@ -39,7 +39,8 @@ from repro.experiments.runner import (
 from repro.harmony.history import TuningHistory
 from repro.model.analytic import APPROXIMATIONS, AnalyticBackend
 from repro.model.base import PerformanceBackend, Scenario
-from repro.parallel import ParallelExecutor, RunSpec
+from repro.parallel.executor import ParallelExecutor
+from repro.parallel.plan import RunSpec
 from repro.tpcw.interactions import STANDARD_MIXES
 from repro.tuning.session import ClusterTuningSession, make_scheme
 from repro.util.rng import derive_seed

@@ -24,7 +24,9 @@ from repro.experiments.runner import (
     make_backend,
 )
 from repro.model.base import PerformanceBackend, Scenario
-from repro.parallel import ParallelExecutor, RunSpec, track_backend
+from repro.parallel.executor import ParallelExecutor
+from repro.parallel.plan import RunSpec
+from repro.parallel.stats import track_backend
 from repro.tpcw.interactions import STANDARD_MIXES
 from repro.util.rng import derive_seed
 from repro.util.tables import Table

@@ -5,62 +5,3 @@ measurement — and every random choice is seeded, so a fault plan plus a
 seed reproduces the same failure trajectory bit for bit.  See
 ``docs/robustness.md`` for the fault model and policy semantics.
 """
-
-from repro.faults.engine import (
-    EngineFaultInjector,
-    EngineFaultPlan,
-    EngineResilienceStats,
-    FleetUnavailableError,
-    active_injector,
-    install_engine_faults,
-)
-from repro.faults.injector import FaultInjector, FaultState
-from repro.faults.plan import EVENT_KINDS, FaultEvent, FaultPlan
-from repro.faults.resilience import (
-    ON_EXHAUSTED,
-    ResiliencePolicy,
-    ResilienceStats,
-    backoff_delay,
-)
-
-#: Exports of :mod:`repro.faults.backend`, loaded lazily (PEP 562): that
-#: module pulls in the whole model/cluster stack, and eager-importing it
-#: here would close an import cycle with :mod:`repro.harmony` (whose net
-#: layer uses :func:`backoff_delay` from the dependency-free resilience
-#: module).
-_BACKEND_EXPORTS = (
-    "ClusterOutageError",
-    "FaultStats",
-    "FaultyBackend",
-    "MeasurementFault",
-    "MeasurementTimeout",
-    "TransientMeasurementError",
-    "degrade_spec",
-)
-
-__all__ = [
-    "EVENT_KINDS",
-    "EngineFaultInjector",
-    "EngineFaultPlan",
-    "EngineResilienceStats",
-    "FaultEvent",
-    "FaultPlan",
-    "FaultInjector",
-    "FaultState",
-    "FleetUnavailableError",
-    "active_injector",
-    "install_engine_faults",
-    "ON_EXHAUSTED",
-    "ResiliencePolicy",
-    "ResilienceStats",
-    "backoff_delay",
-    *_BACKEND_EXPORTS,
-]
-
-
-def __getattr__(name):
-    if name in _BACKEND_EXPORTS:
-        from repro.faults import backend
-
-        return getattr(backend, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,46 +15,3 @@ The package mirrors the architecture of Figure 2 of the paper:
   partitioning* (§III.B) for scalable cluster tuning,
 * :mod:`repro.harmony.history` — tuning histories and convergence metrics.
 """
-
-from repro.harmony.constraints import ConstraintSet, OrderingConstraint
-from repro.harmony.history import TuningHistory, TuningRecord
-from repro.harmony.parameter import Configuration, IntParameter, ParameterSpace
-from repro.harmony.scaling import (
-    DuplicationScheme,
-    PartitionScheme,
-    identity_scheme,
-)
-from repro.harmony.search import (
-    CoordinateDescent,
-    RandomSearch,
-    SearchStrategy,
-    SimplexStrategy,
-)
-from repro.harmony.server import HarmonyServer, TuningSession
-from repro.harmony.client import HarmonyClient
-from repro.harmony.net import HarmonyTCPServer, RemoteHarmonyClient
-from repro.harmony.simplex import NelderMeadSimplex, SimplexOptions
-
-__all__ = [
-    "ConstraintSet",
-    "OrderingConstraint",
-    "IntParameter",
-    "ParameterSpace",
-    "Configuration",
-    "NelderMeadSimplex",
-    "SimplexOptions",
-    "SearchStrategy",
-    "SimplexStrategy",
-    "RandomSearch",
-    "CoordinateDescent",
-    "HarmonyServer",
-    "HarmonyClient",
-    "HarmonyTCPServer",
-    "RemoteHarmonyClient",
-    "TuningSession",
-    "TuningHistory",
-    "TuningRecord",
-    "DuplicationScheme",
-    "PartitionScheme",
-    "identity_scheme",
-]

@@ -9,45 +9,13 @@ ranges.  See docs/static_analysis.md for the rule catalogue and
 
 Typical programmatic use::
 
-    from repro.lint import Analyzer, ALL_RULES, load_config, find_root
+    from repro.lint.config import find_root, load_config
+    from repro.lint.core import Analyzer
+    from repro.lint.reporters import format_text
+    from repro.lint.rules import ALL_RULES
 
     root = find_root()
     analyzer = Analyzer(ALL_RULES, load_config(root))
     result = analyzer.lint_paths([root / "src"], root)
     assert result.ok, format_text(result)
 """
-
-from repro.lint.config import LintConfig, find_root, load_config
-from repro.lint.core import (
-    Analyzer,
-    Finding,
-    LintResult,
-    ParsedModule,
-    Rule,
-    Severity,
-)
-from repro.lint.reporters import (
-    JSON_SCHEMA_VERSION,
-    format_json,
-    format_rules,
-    format_text,
-)
-from repro.lint.rules import ALL_RULES, rules_by_id
-
-__all__ = [
-    "ALL_RULES",
-    "Analyzer",
-    "Finding",
-    "JSON_SCHEMA_VERSION",
-    "LintConfig",
-    "LintResult",
-    "ParsedModule",
-    "Rule",
-    "Severity",
-    "find_root",
-    "format_json",
-    "format_rules",
-    "format_text",
-    "load_config",
-    "rules_by_id",
-]

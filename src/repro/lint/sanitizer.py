@@ -19,7 +19,9 @@ The sanitizer is deliberately dependency-free and in-process: state is
 module-global and never crosses ``fork``.  Only the parent absorbs
 entries another process computed (a fleet worker absorbs its start-up
 snapshot into fresh memos), so every finding is recorded in the parent.
-Zero overhead when inactive: the hook returns immediately.
+Zero overhead when inactive: the hook returns immediately, and importing
+this module loads no other part of :mod:`repro.lint` (the finding types
+load when the first finding is recorded).
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ import os
 import traceback
 from contextlib import contextmanager
 from pathlib import PurePosixPath
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
-from repro.lint.core import Finding, Severity
+if TYPE_CHECKING:
+    from repro.lint.core import Finding
 
 __all__ = [
     "RUNTIME_RULES",
@@ -84,6 +87,8 @@ def _relpath(filename: str) -> str:
 
 
 def _record(rule: str, message: str) -> None:
+    from repro.lint.core import Finding, Severity
+
     path, line = _site()
     finding = Finding(
         path=path,

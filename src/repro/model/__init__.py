@@ -21,43 +21,3 @@ closed queueing-network model solved by approximate Mean Value Analysis:
   solver (its ``approximation=`` knob selects exact/fluid/hierarchical),
 * :mod:`repro.model.noise` — the measurement-noise model.
 """
-
-from repro.model.analytic import APPROXIMATIONS, AnalyticBackend
-from repro.model.base import (
-    Measurement,
-    PerformanceBackend,
-    ResourceUtilization,
-    Scenario,
-)
-from repro.model.fluid import solve_mva_fluid
-from repro.model.hierarchy import AggregationPlan, aggregation_plan
-from repro.model.mva import MvaResult, Station, solve_mva, solve_mva_exact
-from repro.model.mva_multiclass import (
-    CustomerClass,
-    MultiClassResult,
-    solve_mva_multiclass,
-)
-from repro.model.noise import NoiseModel
-from repro.model.pools import PoolResult, mmck
-
-__all__ = [
-    "Scenario",
-    "Measurement",
-    "ResourceUtilization",
-    "PerformanceBackend",
-    "Station",
-    "MvaResult",
-    "solve_mva",
-    "solve_mva_exact",
-    "solve_mva_fluid",
-    "AggregationPlan",
-    "aggregation_plan",
-    "APPROXIMATIONS",
-    "CustomerClass",
-    "MultiClassResult",
-    "solve_mva_multiclass",
-    "PoolResult",
-    "mmck",
-    "AnalyticBackend",
-    "NoiseModel",
-]

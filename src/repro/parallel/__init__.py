@@ -21,33 +21,3 @@ with deterministic values, so the same plan produces bit-identical
 results at every ``--engine``/``--jobs`` setting; only wall-clock time
 and cache hit rates change.
 """
-
-from repro.parallel.engine import (
-    ENGINES,
-    SharedEngine,
-    plan_chunksize,
-    resolve_engine,
-)
-from repro.parallel.executor import ParallelExecutor, resolve_jobs
-from repro.parallel.plan import RunSpec, run_specs
-from repro.parallel.stats import (
-    CacheStatsCapture,
-    collect_cache_stats,
-    merge_cache_stats,
-    track_backend,
-)
-
-__all__ = [
-    "RunSpec",
-    "run_specs",
-    "ParallelExecutor",
-    "resolve_jobs",
-    "plan_chunksize",
-    "ENGINES",
-    "resolve_engine",
-    "SharedEngine",
-    "CacheStatsCapture",
-    "collect_cache_stats",
-    "merge_cache_stats",
-    "track_backend",
-]

@@ -43,7 +43,6 @@ from repro.parallel.stats import CacheStatsCapture, track_backend
 
 __all__ = [
     "ENGINES",
-    "FleetUnavailableError",
     "plan_chunksize",
     "resolve_engine",
     "run_serial",

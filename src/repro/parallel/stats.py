@@ -23,10 +23,9 @@ the work runs, and ship the deltas home with the results.
   capture (in-process or inside the worker), returns the delta alongside
   the result, and merges the parts — one mechanism for every engine.
 
-:func:`collect_cache_stats` / :func:`merge_cache_stats` moved here from
-``repro.experiments.runner`` (which still re-exports them) because the
-executor now depends on them and the experiments layer already depends on
-the executor.
+:func:`collect_cache_stats` / :func:`merge_cache_stats` live here, not in
+``repro.experiments.runner``, because the executor depends on them and the
+experiments layer already depends on the executor.
 """
 
 from __future__ import annotations

@@ -44,7 +44,10 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
-from typing import Any, Callable, Generator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Generator, Optional
+
+if TYPE_CHECKING:
+    from repro.sim.process import Process
 
 __all__ = ["Environment", "Event", "Timeout", "Interrupt", "SimulationError"]
 
@@ -248,6 +251,10 @@ class Environment:
 
     def process(self, generator: Generator) -> "Process":
         """Start a new :class:`Process` running ``generator``."""
+        # Process subclasses Event and is driven by the loop below, so it
+        # lives in its own module, which imports this one.
+        from repro.sim.process import Process
+
         return Process(self, generator)
 
     # -- scheduling -----------------------------------------------------
@@ -450,7 +457,3 @@ class Environment:
             self._now = max(self._now, until)
         return self._now
 
-
-# Process subclasses Event and is driven by the loop above, so it lives
-# in its own module, which imports this one.
-from repro.sim.process import Process  # noqa: E402

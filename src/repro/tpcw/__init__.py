@@ -14,41 +14,3 @@ Shopping (WIPS) and Ordering (WIPSo).  This package implements:
 * the closed-loop emulated-browser behaviour (:mod:`repro.tpcw.browser`),
 * WIPS / WIPSb / WIPSo metric helpers (:mod:`repro.tpcw.metrics`).
 """
-
-from repro.tpcw.browser import BrowserBehavior
-from repro.tpcw.catalog import Catalog
-from repro.tpcw.interactions import (
-    BROWSING_MIX,
-    Interaction,
-    InteractionCategory,
-    ORDERING_MIX,
-    SHOPPING_MIX,
-    STANDARD_MIXES,
-    WorkloadMix,
-)
-from repro.tpcw.metrics import WipsMeter
-from repro.tpcw.mix import MixSampler, expected_profile
-from repro.tpcw.navigation import SITE_STRUCTURE, NavigationModel
-from repro.tpcw.profiles import PROFILES, InteractionProfile
-from repro.tpcw.wirt import WIRT_LIMITS, WirtTracker
-
-__all__ = [
-    "Interaction",
-    "InteractionCategory",
-    "WorkloadMix",
-    "BROWSING_MIX",
-    "SHOPPING_MIX",
-    "ORDERING_MIX",
-    "STANDARD_MIXES",
-    "InteractionProfile",
-    "PROFILES",
-    "MixSampler",
-    "expected_profile",
-    "NavigationModel",
-    "SITE_STRUCTURE",
-    "Catalog",
-    "BrowserBehavior",
-    "WipsMeter",
-    "WirtTracker",
-    "WIRT_LIMITS",
-]

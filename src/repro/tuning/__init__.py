@@ -9,26 +9,3 @@
 * :mod:`repro.tuning.reconfig` — the §IV automatic cluster-reconfiguration
   algorithm (Table 5 / Figure 6).
 """
-
-from repro.tuning.adaptive import AdaptiveTuningSession
-from repro.tuning.iteration import IterationRunner, IterationSpec
-from repro.tuning.reconfig import (
-    MoveDecision,
-    ReconfigPolicy,
-    Reconfigurator,
-)
-from repro.tuning.reconfig_loop import AppliedMove, ReconfigurationLoop
-from repro.tuning.session import ClusterTuningSession, make_scheme
-
-__all__ = [
-    "AdaptiveTuningSession",
-    "IterationSpec",
-    "IterationRunner",
-    "ClusterTuningSession",
-    "make_scheme",
-    "ReconfigPolicy",
-    "Reconfigurator",
-    "MoveDecision",
-    "ReconfigurationLoop",
-    "AppliedMove",
-]

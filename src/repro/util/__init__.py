@@ -3,44 +3,3 @@
 These helpers are deliberately dependency-light; everything above them in
 the stack (simulation kernel, tuner, cluster models) builds on this layer.
 """
-
-from repro.util.plot import histogram, line_chart, sparkline
-from repro.util.rng import RngFactory, derive_seed, spawn_rng
-from repro.util.serialization import (
-    load_configuration,
-    load_history,
-    save_configuration,
-    save_history,
-)
-from repro.util.stats import (
-    RunningStats,
-    TimeWeightedStats,
-    confidence_interval,
-    percentile,
-)
-from repro.util.tables import Table, format_table
-from repro.util.units import GB, KB, MB, MBPS, Seconds
-
-__all__ = [
-    "sparkline",
-    "line_chart",
-    "histogram",
-    "save_configuration",
-    "load_configuration",
-    "save_history",
-    "load_history",
-    "RngFactory",
-    "derive_seed",
-    "spawn_rng",
-    "RunningStats",
-    "TimeWeightedStats",
-    "confidence_interval",
-    "percentile",
-    "Table",
-    "format_table",
-    "KB",
-    "MB",
-    "GB",
-    "MBPS",
-    "Seconds",
-]

@@ -8,8 +8,8 @@ nodes move, which workload benefits most — rather than absolute numbers.
 import pytest
 
 from repro.cluster.node import Role
-from repro.experiments import ExperimentConfig
 from repro.experiments import ablations, fig4, fig5, fig7, table1, table3, table4
+from repro.experiments.runner import ExperimentConfig
 
 SMALL = ExperimentConfig(
     iterations=60, baseline_iterations=8, population=750,

@@ -49,11 +49,29 @@ class TestPublicApi:
         done = run_fresh("import repro.sim.process")
         assert done.returncode == 0, done.stderr
 
-    def test_harmony_all_importable(self):
-        import repro.harmony as harmony
-
-        for name in harmony.__all__:
-            assert hasattr(harmony, name), name
+    @pytest.mark.parametrize(
+        "module, absent",
+        [
+            (
+                "repro.des.backend",
+                ("repro.lint.core", "repro.lint.rules", "tomllib",
+                 "repro.harmony.net", "repro.tuning.session", "repro.util.plot"),
+            ),
+            (
+                "repro.experiments.fig4",
+                ("repro.lint.core", "repro.lint.rules", "tomllib",
+                 "repro.harmony.net", "repro.tuning.reconfig",
+                 "repro.model.mva_multiclass"),
+            ),
+        ],
+    )
+    def test_import_loads_only_what_it_names(self, module, absent):
+        done = run_fresh(
+            f"import sys, {module}\n"
+            f"print(sorted(set({absent!r}) & set(sys.modules)))"
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_version(self):
         assert repro.__version__ == "1.0.0"

@@ -6,17 +6,10 @@ import ast
 import json
 from pathlib import Path
 
-from repro.lint import (
-    ALL_RULES,
-    Analyzer,
-    LintConfig,
-    format_json,
-    format_rules,
-    format_text,
-    load_config,
-)
-from repro.lint.config import _minimal_toml, find_root
-from repro.lint.core import ImportMap, LintResult, parse_noqa
+from repro.lint.config import LintConfig, _minimal_toml, find_root, load_config
+from repro.lint.core import Analyzer, ImportMap, LintResult, parse_noqa
+from repro.lint.reporters import format_json, format_rules, format_text
+from repro.lint.rules import ALL_RULES
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, Analyzer, rules_by_id
+from repro.lint.core import Analyzer
+from repro.lint.rules import ALL_RULES, rules_by_id
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 

@@ -12,7 +12,8 @@ import pytest
 
 from repro.experiments import fig4
 from repro.experiments.runner import ExperimentConfig
-from repro.parallel import ParallelExecutor, RunSpec, resolve_jobs
+from repro.parallel.executor import ParallelExecutor, resolve_jobs
+from repro.parallel.plan import RunSpec
 
 
 def double(x):

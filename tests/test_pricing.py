@@ -5,8 +5,8 @@ import pytest
 from repro.cluster.node import NodeSpec
 from repro.cluster.pricing import PricingModel
 from repro.cluster.topology import ClusterSpec
-from repro.experiments import ExperimentConfig
 from repro.experiments import price_performance
+from repro.experiments.runner import ExperimentConfig
 from repro.util.units import GB
 
 

@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.experiments import ExperimentConfig
 from repro.experiments.replication import (
     Replication,
     replicate,
     replicate_fig4_improvements,
     replication_table,
 )
+from repro.experiments.runner import ExperimentConfig
 
 
 class TestReplication:

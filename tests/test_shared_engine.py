@@ -18,14 +18,9 @@ from repro.experiments import fig4
 from repro.experiments.runner import ExperimentConfig, make_backend
 from repro.model.analytic import AnalyticBackend
 from repro.model.base import MemoizedBackend, Scenario
-from repro.parallel import (
-    ENGINES,
-    ParallelExecutor,
-    RunSpec,
-    SharedEngine,
-    plan_chunksize,
-    resolve_engine,
-)
+from repro.parallel.engine import ENGINES, SharedEngine, plan_chunksize, resolve_engine
+from repro.parallel.executor import ParallelExecutor
+from repro.parallel.plan import RunSpec
 from repro.tpcw.interactions import SHOPPING_MIX, STANDARD_MIXES
 from repro.tuning.session import ClusterTuningSession
 from repro.util.rng import derive_seed
