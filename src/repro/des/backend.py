@@ -20,7 +20,13 @@ Performance layers (all default-on, all bit-identical to the seed DES):
   current instant goes through a FIFO instead of the heap;
 * one :class:`~repro.sim.process.Join` per page for its embedded
   images, so the page resumes once, in the slot of the last image's
-  completion, instead of once per image;
+  completion, instead of once per image; each image runs in one
+  generator frame;
+* each interaction runs inside its browser's process (``yield from``),
+  with no kick and no completion event.  The browser's continuation
+  thus runs ahead of same-instant entries it does not touch, but it
+  only records meters and draws from the browser's own stream, so no
+  draw moves;
 * opt-in **parallel replications** (``replications=R``): R seed-derived
   independent iterations fanned through the parallel executor and merged
   by batch means for tighter confidence intervals at roughly the
@@ -88,10 +94,6 @@ def _clock() -> float:
     as excluded from determinism/byte-identity gates.
     """
     return time.perf_counter()  # repro: noqa[RPL002] profile diagnostics only
-
-
-class _InteractionError(Exception):
-    """A page request was rejected somewhere along the pipeline."""
 
 
 class _SimCluster:
@@ -320,8 +322,22 @@ class SimulationBackend(PerformanceBackend):
     # ------------------------------------------------------------------
     def _static_flow(self, sim: _SimCluster, line: str,
                      proxy: ProxyServerSim, rng: np.random.Generator):
+        """Fetch one embedded image: the proxy serves it from memory or
+        disk, or forwards a miss to the application tier and relays it."""
         size = sim.ctx.catalog.object_size(sim.ctx.catalog.sample_object(rng))
-        outcome = yield from proxy.serve_static(rng, size)
+        m = proxy.model
+        cpu = proxy.cpu
+        pen = proxy.memory_penalty
+        outcome = proxy.classify(rng)
+        yield cpu.hold(rng, m.PARSE_CPU + proxy.lookup_cpu, pen)
+        if outcome == "mem":
+            yield cpu.hold(rng, size / m.MEM_COPY_RATE, pen)
+        elif outcome == "disk":
+            yield cpu.hold(rng, m.DISK_HIT_CPU, pen)
+            if rng.random() < m.DISK_HIT_IO_PROB:
+                disk_s = proxy.spec.disk_seconds(size, accesses=1.0)
+                yield proxy.disk.hold(rng, disk_s, pen)
+        proxy.account_nic(size + 600.0)
         if outcome == "miss":
             app: AppServerSim = sim.pick(line, Role.APP, rng)  # type: ignore[assignment]
             try:
@@ -332,24 +348,25 @@ class SimulationBackend(PerformanceBackend):
 
     def _interaction_flow(self, sim: _SimCluster, line: str, interaction,
                           rng: np.random.Generator):
+        """One interaction: the page, then its embedded images.
+
+        Raises :class:`QueueFullError` when a pool rejects the page.
+        """
         profile = PROFILES[interaction]
         proxy: ProxyServerSim = sim.pick(line, Role.PROXY, rng)  # type: ignore[assignment]
         yield NETWORK_RTT
         cacheable = rng.random() < profile.page_cacheable
-        try:
-            served = yield from proxy.accept_page(rng, cacheable)
-            if not served:
-                app: AppServerSim = sim.pick(line, Role.APP, rng)  # type: ignore[assignment]
-                if cacheable:
-                    yield from app.serve_static(rng, profile.response_bytes)
-                else:
-                    db: DbServerSim = sim.pick(line, Role.DB, rng)  # type: ignore[assignment]
-                    yield from app.serve_page(
-                        rng, profile, lambda: db.run_queries(rng, profile)
-                    )
-                yield from proxy.relay(rng, profile.response_bytes)
-        except QueueFullError as err:
-            raise _InteractionError(str(err)) from err
+        served = yield from proxy.accept_page(rng, cacheable)
+        if not served:
+            app: AppServerSim = sim.pick(line, Role.APP, rng)  # type: ignore[assignment]
+            if cacheable:
+                yield from app.serve_static(rng, profile.response_bytes)
+            else:
+                db: DbServerSim = sim.pick(line, Role.DB, rng)  # type: ignore[assignment]
+                yield from app.serve_page(
+                    rng, profile, lambda: db.run_queries(rng, profile)
+                )
+            yield from proxy.relay(rng, profile.response_bytes)
         # Embedded static objects, fetched concurrently.
         n = int(profile.static_objects)
         if rng.random() < profile.static_objects - n:
@@ -382,10 +399,8 @@ class SimulationBackend(PerformanceBackend):
                 interaction = sampler.sample(rng)
             start = env._now
             try:
-                yield env.process(
-                    self._interaction_flow(sim, line, interaction, rng)
-                )
-            except _InteractionError:
+                yield from self._interaction_flow(sim, line, interaction, rng)
+            except QueueFullError:
                 meter.record_error()
                 continue
             if meter.window_open:

@@ -110,27 +110,6 @@ class ProxyServerSim(NodeSim):
             return "disk"
         return "miss"
 
-    def serve_static(self, rng: np.random.Generator, size: float):
-        """Serve one static object; returns the outcome ("mem"/"disk"/"miss").
-
-        On a miss the caller forwards to the application tier and then calls
-        :meth:`relay` for the response path.
-        """
-        m = self.model
-        cpu = self.cpu
-        pen = self.memory_penalty
-        outcome = self.classify(rng)
-        yield cpu.hold(rng, m.PARSE_CPU + self.lookup_cpu, pen)
-        if outcome == "mem":
-            yield cpu.hold(rng, size / m.MEM_COPY_RATE, pen)
-        elif outcome == "disk":
-            yield cpu.hold(rng, m.DISK_HIT_CPU, pen)
-            if rng.random() < m.DISK_HIT_IO_PROB:
-                disk_s = self.spec.disk_seconds(size, accesses=1.0)
-                yield self.disk.hold(rng, disk_s, pen)
-        self.account_nic(size + 600.0)
-        return outcome
-
     def accept_page(self, rng: np.random.Generator, cacheable: bool):
         """Handle a page request; returns True if served from cache."""
         m = self.model

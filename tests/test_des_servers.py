@@ -78,21 +78,6 @@ class TestProxyServerSim:
             1 - proxy.mem_hit - proxy.disk_hit, abs=0.02
         )
 
-    def test_serve_static_returns_outcome(self, ctx):
-        env = Environment()
-        proxy = ProxyServerSim(env, "p", DEFAULT_NODE, _defaults(PROXY_PARAMS), ctx)
-        rng = np.random.default_rng(4)
-        results = []
-
-        def proc():
-            out = yield from proxy.serve_static(rng, 8192.0)
-            results.append(out)
-
-        env.process(proc())
-        env.run()
-        assert results[0] in ("mem", "disk", "miss")
-        assert proxy.nic_bytes > 0
-
 
 class TestAppServerSim:
     def test_spawn_cost_zero_when_idle(self, ctx):
