@@ -97,7 +97,3 @@ def __getattr__(name):
     value = getattr(import_module(module), name)
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted({*globals(), *_EXPORTS})

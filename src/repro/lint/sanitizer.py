@@ -20,8 +20,8 @@ module-global and never crosses ``fork``.  Only the parent absorbs
 entries another process computed (a fleet worker absorbs its start-up
 snapshot into fresh memos), so every finding is recorded in the parent.
 Zero overhead when inactive: the hook returns immediately, and importing
-this module loads no other part of :mod:`repro.lint` (the finding types
-load when the first finding is recorded).
+this module loads none of the linter (the finding types load when the
+first finding is recorded).
 """
 
 from __future__ import annotations

@@ -456,4 +456,3 @@ class Environment:
         if until is not None:
             self._now = max(self._now, until)
         return self._now
-
